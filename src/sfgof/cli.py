@@ -36,11 +36,11 @@ def _print_test_row(knob_name: str, knob_value, model_name: str, outcome) -> Non
 
 
 def _cmd_crit(args) -> int:
-    if args.kind == "cvm":
+    if args.kind == "cvm" and args.method != "exact":
         method = "series" if args.method == "series" else "monte-carlo"
         crit = limit_laws.critical_value_cvm(args.alpha, method=method, rng=RngStream(args.seed, 0))
     else:
-        crit = limit_laws.critical_value_ks(args.alpha)
+        crit = limit_laws.default_critical_value(args.alpha, args.kind)
     print("alpha,kind,method,value,mc_error")
     print(f"{crit.alpha:.10g},{args.kind},{crit.method},{crit.value:.10g},{crit.mc_error:.10g}")
     return 0
@@ -143,7 +143,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_crit = sub.add_parser("crit", help="critical value of the limit statistic")
     p_crit.add_argument("--alpha", type=float, required=True)
     p_crit.add_argument("--kind", choices=["cvm", "ks"], default="cvm")
-    p_crit.add_argument("--method", choices=["series", "mc"], default="series")
+    p_crit.add_argument(
+        "--method",
+        choices=["exact", "series", "mc"],
+        default="exact",
+        help="cvm only: the exact value that tests decide with, or a Monte Carlo cross-check drawn with --seed",
+    )
     p_crit.add_argument("--seed", type=int, default=0)
 
     p_test = sub.add_parser("test", help="run one goodness-of-fit test")

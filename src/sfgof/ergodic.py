@@ -14,6 +14,7 @@ can be rewritten through an antiderivative.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -138,7 +139,10 @@ def fisher_ergodic(model: ErgodicModel, theta: float) -> float:
     return info
 
 
-_THETA_TABLES: dict[ErgodicModel, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+# Weakly keyed: the tables of a model go when the model does.
+_THETA_TABLES: weakref.WeakKeyDictionary[ErgodicModel, tuple[np.ndarray, np.ndarray, np.ndarray]] = (
+    weakref.WeakKeyDictionary()
+)
 
 
 def _theta_tables(model: ErgodicModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -145,7 +145,7 @@ def wilson_interval(successes: int, trials: int, z: float = 1.959963984540054) -
 
 
 def compare_to_oracle(statistics: np.ndarray, kind: str) -> float:
-    """Kolmogorov distance between a statistic sample and the limit-law oracle."""
+    """Kolmogorov distance between a statistic sample and the limit law, via its exact quantile grid."""
     statistics = np.asarray(statistics, dtype=float)
     if statistics.size < 500:
         raise ConfigError(f"need at least 500 statistics, got {statistics.size}")

@@ -12,6 +12,7 @@ antiderivative construction that removes the stochastic integral entirely.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -146,9 +147,11 @@ def fisher_small_noise(model: SmallNoiseModel, theta: float, num_steps: int = 10
 
 # Per-model interpolation tables for quantities that are smooth in theta.
 # They avoid re-solving the drift ODE inside every Monte Carlo replicate;
-# agreement with the exact operations is covered by tests.
-_FISHER_TABLES: dict[SmallNoiseModel, tuple[np.ndarray, np.ndarray]] = {}
-_WINDOW_TABLES: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+# agreement with the exact operations is covered by tests.  Both are weakly
+# keyed on the model, so its tables go when the model does; window tables
+# hold one inner entry per (k_win, h).
+_FISHER_TABLES: weakref.WeakKeyDictionary[SmallNoiseModel, tuple[np.ndarray, np.ndarray]] = weakref.WeakKeyDictionary()
+_WINDOW_TABLES: weakref.WeakKeyDictionary[SmallNoiseModel, dict[tuple[int, float], tuple]] = weakref.WeakKeyDictionary()
 
 
 def _fisher_cached(model: SmallNoiseModel, theta: float) -> float:
@@ -165,8 +168,8 @@ def _fisher_cached(model: SmallNoiseModel, theta: float) -> float:
 
 def _window_table(model: SmallNoiseModel, k_win: int, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Noise-free window flows x_t(theta) tabulated on a dense theta grid."""
-    key = (model, k_win, h)
-    entry = _WINDOW_TABLES.get(key)
+    tables = _WINDOW_TABLES.setdefault(model, {})
+    entry = tables.get((k_win, h))
     if entry is not None:
         return entry
     stride = max(1, k_win // _MDE_MAX_CELLS)
@@ -180,7 +183,7 @@ def _window_table(model: SmallNoiseModel, k_win: int, h: float) -> tuple[np.ndar
     for i, theta in enumerate(thetas):
         flows[i] = drift_flow(model, theta, sub_grid)[idx]
     entry = (thetas, idx, flows)
-    _WINDOW_TABLES[key] = entry
+    tables[(k_win, h)] = entry
     return entry
 
 

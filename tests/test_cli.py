@@ -4,6 +4,7 @@ import numpy as np
 
 from sfgof.cli import main
 from sfgof.inference_kit import RngStream
+from sfgof.limit_laws import default_critical_value
 from sfgof.poisson import linear_intensity_model, simulate_periodic_poisson, sin_profile
 
 
@@ -21,6 +22,13 @@ class TestCrit:
         fields = out[1].split(",")
         assert fields[0] == "0.05" and fields[1] == "ks"
         assert abs(float(fields[3]) - 1.3581) < 0.002
+
+    def test_cvm_default_is_decision_value(self, capsys):
+        for alpha in (0.01, 0.05):
+            assert main(["crit", "--alpha", str(alpha), "--kind", "cvm"]) == 0
+            fields = capsys.readouterr().out.splitlines()[1].split(",")
+            assert fields[2] == "exact" and float(fields[4]) == 0.0
+            assert fields[3] == f"{default_critical_value(alpha, 'cvm').value:.10g}"
 
     def test_cvm_series(self, capsys):
         assert main(["crit", "--alpha", "0.1", "--kind", "cvm", "--method", "series", "--seed", "3"]) == 0

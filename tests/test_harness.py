@@ -1,6 +1,9 @@
+import gc
+
 import numpy as np
 import pytest
 
+from sfgof import catalog, ergodic, small_noise
 from sfgof.errors import ConfigError
 from sfgof.harness import (
     ExperimentConfig,
@@ -9,8 +12,8 @@ from sfgof.harness import (
     run_size,
     wilson_interval,
 )
-from sfgof.inference_kit import ParamInterval
-from sfgof.limit_laws import oracle_statistics
+from sfgof.inference_kit import ParamInterval, RngStream
+from sfgof.limit_laws import bridge_cvm_samples
 from sfgof.small_noise import SmallNoiseModel
 
 
@@ -96,13 +99,16 @@ class TestOracleInjection:
 
 
 class TestCompareToOracle:
-    def test_self_comparison(self):
-        sample = oracle_statistics("cvm")[:2000]
+    # 2000 simulated bridge functionals: a sample drawn from the limit law.
+    @pytest.fixture(scope="class")
+    def sample(self):
+        return bridge_cvm_samples(2000, 1000, RngStream(21, 0))
+
+    def test_self_comparison(self, sample):
         assert compare_to_oracle(sample, "cvm") <= 0.03
 
-    def test_shift_detected(self):
-        sample = oracle_statistics("cvm")[:2000] + 0.5
-        assert compare_to_oracle(sample, "cvm") >= 0.3
+    def test_shift_detected(self, sample):
+        assert compare_to_oracle(sample + 0.5, "cvm") >= 0.3
 
     def test_needs_samples(self):
         with pytest.raises(ConfigError):
@@ -177,6 +183,40 @@ class TestExclusions:
         assert report.excluded == 100
         assert report.exclusions_exceeded
         assert "100" in report.csv_text().splitlines()[1].split(",")[-1]
+
+
+def _table_counts() -> tuple[int, int, int]:
+    return len(ergodic._THETA_TABLES), len(small_noise._FISHER_TABLES), len(small_noise._WINDOW_TABLES)
+
+
+class TestTableCaches:
+    # Counts are compared with those before the test, so that tables of
+    # models which other tests still hold do not count.
+    def test_tables_freed_with_their_model(self):
+        before = _table_counts()
+        model = catalog.build_small_noise_model({"name": "linear"})
+        small_noise._fisher_cached(model, 0.5)
+        small_noise._window_table(model, 100, 0.01)
+        assert model in small_noise._FISHER_TABLES and model in small_noise._WINDOW_TABLES
+        del model
+        gc.collect()
+        assert _table_counts() == before
+
+    def test_studies_leave_no_tables(self):
+        ergodic_config = quick_config(
+            family="ergodic",
+            knob="T",
+            knob_value=50.0,
+            replicates=100,
+            model_params={"name": "ou", "theta0": 1.0},
+            sim_params={"step": 0.01},
+            chunk_size=50,
+        )
+        before = _table_counts()
+        for config in (quick_config(), quick_config(master_seed=6), ergodic_config, ergodic_config):
+            run_size(config)
+        gc.collect()
+        assert _table_counts() == before
 
 
 class TestReportOutput:

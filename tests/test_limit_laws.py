@@ -8,6 +8,7 @@ from sfgof.inference_kit import RngStream
 from sfgof.limit_laws import (
     BridgePath,
     _bridge_values_batch,
+    _cdf_and_density,
     bridge_cvm_samples,
     bridge_functional,
     bridge_sup_samples,
@@ -23,6 +24,9 @@ from sfgof.limit_laws import (
 # conditionally exact segment extrema (see test_acceptance for the live run).
 SUP_Q95 = 1.3581
 SUP_Q50 = 0.8276
+
+# Upper percentage points of the integral of B^2 (Anderson & Darling, 1952).
+CVM_TABLE = {0.01: 0.74346, 0.05: 0.46136, 0.10: 0.34730}
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +124,21 @@ class TestCriticalValues:
             for a in (0.01, 0.05, 0.1, 0.5)
         ]
         assert all(x > y for x, y in zip(values, values[1:]))
+        exact = [default_critical_value(a, "cvm").value for a in (0.001, 0.01, 0.05, 0.1, 0.5, 0.999)]
+        assert all(x > y for x, y in zip(exact, exact[1:]))
+
+    def test_exact_quadratic_cdf_inverts_characteristic_function(self):
+        # Gil-Pelaez: F(x) = 1/2 - (1/pi) int_0^inf Im(exp(-itx) phi(t)) / t dt with
+        # phi(t) = (s / sin s)^(1/2), s = sqrt(2it); the log branch follows t continuously.
+        x = np.array([0.03, 0.1, 0.2, 0.46136, 0.74346, 1.5])
+        h = 0.02
+        t = h * np.arange(1, 200_001)
+        s = np.sqrt(2j * t)
+        log_sin = np.log(np.sin(s))
+        phi = np.exp(0.5 * (np.log(s) - log_sin.real - 1j * np.unwrap(log_sin.imag)))
+        integrand = np.imag(np.exp(-1j * np.multiply.outer(x, t)) * phi) / t
+        integral = h * (0.5 * (1.0 / 6.0 - x) + integrand[:, :-1].sum(axis=1) + 0.5 * integrand[:, -1])
+        assert np.max(np.abs(_cdf_and_density(x, "cvm")[0] - (0.5 - integral / np.pi))) <= 1e-9
 
     def test_sup_critical_values_match_frozen_oracle(self):
         assert critical_value_ks(0.05).value == pytest.approx(SUP_Q95, abs=0.002)
@@ -148,6 +167,10 @@ class TestCriticalValues:
         b = default_critical_value(0.05, "cvm")
         assert a is b
         assert default_critical_value(0.05, "ks").value == critical_value_ks(0.05).value
+        for alpha, value in CVM_TABLE.items():
+            crit = default_critical_value(alpha, "cvm")
+            assert (crit.method, crit.mc_error) == ("exact", 0.0)
+            assert crit.value == pytest.approx(value, abs=5e-6)
 
 
 class TestSupSampler:
@@ -166,6 +189,18 @@ class TestSupSampler:
         b = oracle_statistics("cvm", n_paths=100_000)
         assert a is b
         assert a.size == 100_000
+        assert abs(a.mean() - 1.0 / 6.0) <= 1e-4
+        assert abs(oracle_statistics("ks").mean() - np.sqrt(np.pi / 2.0) * np.log(2.0)) <= 1e-4
+        # The oracle is the grid of exact quantiles Q((i - 1/2) / n), sorted.
+        for kind, n in (("cvm", 100_000), ("ks", 100_000), ("ks", 777)):
+            q = oracle_statistics(kind, n_paths=n)
+            assert q.size == n
+            assert np.all(np.diff(q) > 0.0)
+            levels = (np.arange(1, n + 1) - 0.5) / n
+            assert np.max(np.abs(_cdf_and_density(q, kind)[0] - levels)) <= 1e-7
+            assert not q.flags.writeable
+        with pytest.raises(ConfigError):
+            oracle_statistics("sup2")
 
 
 class TestCvmSamples:
