@@ -10,6 +10,7 @@ empirical time change.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -90,7 +91,10 @@ class StationaryDensity:
         return float(self.x[1] - self.x[0])
 
 
-_DENSITY_CACHE: dict[tuple, StationaryDensity] = {}
+# Weakly keyed: the densities of a model go when the model does.
+_DENSITY_CACHE: weakref.WeakKeyDictionary[ARModel, dict[tuple[float, int], StationaryDensity]] = (
+    weakref.WeakKeyDictionary()
+)
 
 
 def _fixed_point_density(model: ARModel, theta: float, lo: float, hi: float, n_nodes: int) -> np.ndarray:
@@ -120,12 +124,13 @@ def stationary_density(model: ARModel, theta: float, n_nodes: int = _X_NODES) ->
     """Stationary law on a grid wide enough that tail mass is below 1e-8.
 
     Uses the closed form when the model supplies one, the transition-kernel
-    fixed point otherwise; fixed-point solutions are cached per theta.
+    fixed point otherwise; fixed-point solutions are cached per theta and
+    grid size for as long as the model lives.
     """
     numeric = model.invariant_logpdf is None
-    key = (model, round(float(theta), 14))
+    key = (round(float(theta), 14), n_nodes)
     if numeric:
-        cached = _DENSITY_CACHE.get(key)
+        cached = _DENSITY_CACHE.get(model, {}).get(key)
         if cached is not None:
             return cached
     lo, hi = float(model.x_lo), float(model.x_hi)
@@ -143,7 +148,7 @@ def stationary_density(model: ARModel, theta: float, n_nodes: int = _X_NODES) ->
             dens = StationaryDensity(x=xg, f=f)
             _check_tails(dens)
             if numeric:
-                _DENSITY_CACHE[key] = dens
+                _DENSITY_CACHE.setdefault(model, {})[key] = dens
             return dens
         span = hi - lo
         lo -= 0.5 * span

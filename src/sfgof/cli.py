@@ -163,7 +163,13 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="output directory (CSV + sidecar)")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument(
+            "--threads",
+            type=int,
+            default=1,
+            help="run the replicate blocks in up to K forked worker processes, each with one BLAS thread "
+            "(serially where fork is unavailable); reports do not depend on K",
+        )
 
     return parser
 

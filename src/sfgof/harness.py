@@ -2,7 +2,11 @@
 
 Replicates are indexed by a counter-based substream of the master seed, so
 reports are bit-identical for a given (config, master_seed) regardless of
-chunking or thread count.  Replicates that blow up numerically are
+chunking or worker count.  A study with ``threads=K > 1`` runs its blocks
+in up to K worker processes started by fork, so they inherit the prepared
+models, lambdas included; each worker runs BLAS on one thread, so that the
+workers do not fight BLAS's own threads for the cores.  Where fork is not
+available the blocks run serially.  Replicates that blow up numerically are
 excluded and counted; a run with more than 1% exclusions is flagged as
 failed.  An ``oracle`` pseudo-family draws the limit statistic directly
 and serves as a calibration hook for the harness itself.
@@ -10,12 +14,13 @@ and serves as a calibration hook for the harness itself.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +32,12 @@ from .score import delta_stat
 
 _EXCLUSION_CEILING = 0.01
 _REPORT_QUANTILES = (0.5, 0.9, 0.95, 0.99)
+_BLAS_THREAD_SETTERS = (
+    "scipy_openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "openblas_set_num_threads",
+)
 
 
 @dataclass(frozen=True)
@@ -96,6 +107,7 @@ class ExperimentReport:
     ks_to_oracle: float
     quantiles: dict
     wall_clock: float
+    workers: str  # worker count and how they ran, as the sidecar prints it
 
     @property
     def exclusions_exceeded(self) -> bool:
@@ -122,6 +134,8 @@ class ExperimentReport:
             f"statistic_quantiles:\n{quant}\n"
             f"excluded: {self.excluded}\n"
             f"wall_clock_seconds: {self.wall_clock:.3f}\n"
+            f"numpy: {np.__version__}\n"
+            f"workers: {self.workers}\n"
         )
 
     def write(self, out_dir: str | Path) -> Path:
@@ -327,6 +341,69 @@ _FAMILY_PREPARERS = {
 }
 
 
+@cache
+def _blas_thread_setter():
+    """The thread-count setter of the OpenBLAS that numpy loaded, or None if there is none."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return None
+    libraries = {fields[5] for fields in (line.split(None, 5) for line in maps.splitlines()) if len(fields) == 6}
+    for library in sorted(lib for lib in libraries if "openblas" in lib.lower()):
+        try:
+            handle = ctypes.CDLL(library)
+        except OSError:
+            continue
+        for name in _BLAS_THREAD_SETTERS:
+            setter = getattr(handle, name, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                return setter
+    return None
+
+
+# Set in each worker process by _init_worker; the parent never sets it.
+_worker_block_fn = None
+
+
+def _init_worker(block_fn, blas_thread_setter) -> None:
+    global _worker_block_fn
+    _worker_block_fn = block_fn
+    if blas_thread_setter is not None:
+        blas_thread_setter(1)
+
+
+def _run_block(bounds: tuple[int, int]) -> ReplicateBlock:
+    return _worker_block_fn(*bounds)
+
+
+def _run_blocks(block_fn, blocks: list, threads: int) -> tuple[list, str]:
+    """Results of block_fn on every block, in block order, and how they ran.
+
+    With threads > 1 and fork available, the blocks run in at most
+    min(threads, len(blocks)) forked worker processes, which inherit
+    block_fn instead of pickling it.  Otherwise they run in this process.
+    """
+    workers = min(threads, len(blocks))
+    if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            setter = _blas_thread_setter()
+            with ProcessPoolExecutor(
+                max_workers=workers,
+                mp_context=multiprocessing.get_context("fork"),
+                initializer=_init_worker,
+                initargs=(block_fn, setter),
+            ) as pool:
+                results = list(pool.map(_run_block, blocks))
+            blas = "1 BLAS thread each" if setter is not None else "BLAS threads unchanged"
+            return results, f"{workers} (fork, {blas})"
+    return [block_fn(start, stop) for start, stop in blocks], "1 (serial)"
+
+
 def _execute(config: ExperimentConfig) -> ExperimentReport:
     if config.family not in _FAMILY_PREPARERS:
         raise ConfigError(f"unknown family {config.family!r}")
@@ -334,24 +411,11 @@ def _execute(config: ExperimentConfig) -> ExperimentReport:
     t_start = time.perf_counter()
 
     m_total = config.replicates
-    statistics = np.full(m_total, np.nan)
-    theta_hat = np.full(m_total, np.nan)
-    theta_bar = np.full(m_total, np.nan)
     blocks = [(s, min(s + config.chunk_size, m_total)) for s in range(0, m_total, config.chunk_size)]
-
-    def work(bounds):
-        start, stop = bounds
-        block = block_fn(start, stop)
-        statistics[start:stop] = block.statistics
-        theta_hat[start:stop] = block.theta_hat
-        theta_bar[start:stop] = block.theta_bar
-
-    if config.threads == 1:
-        for bounds in blocks:
-            work(bounds)
-    else:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            list(pool.map(work, blocks))
+    results, workers = _run_blocks(block_fn, blocks, config.threads)
+    statistics = np.concatenate([block.statistics for block in results])
+    theta_hat = np.concatenate([block.theta_hat for block in results])
+    theta_bar = np.concatenate([block.theta_bar for block in results])
 
     finite = np.isfinite(statistics)
     excluded = int(m_total - finite.sum())
@@ -378,6 +442,7 @@ def _execute(config: ExperimentConfig) -> ExperimentReport:
         ks_to_oracle=ks,
         quantiles=quantiles,
         wall_clock=time.perf_counter() - t_start,
+        workers=workers,
     )
 
 

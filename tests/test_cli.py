@@ -125,11 +125,14 @@ class TestExperiments:
     def test_size_writes_report(self, tmp_path, capsys):
         cfg = self._size_config(tmp_path)
         out_dir = tmp_path / "reports"
-        assert main(["size", "--config", cfg, "--seed", "6", "--out", str(out_dir)]) == 0
+        # The 100 replicates fit in one block, so no worker process is started.
+        assert main(["size", "--config", cfg, "--seed", "6", "--out", str(out_dir), "--threads", "4"]) == 0
         capsys.readouterr()
         csv_path = out_dir / "cli-size.csv"
         assert csv_path.exists()
-        assert (out_dir / "cli-size.meta.txt").exists()
+        sidecar = (out_dir / "cli-size.meta.txt").read_text().splitlines()
+        assert f"numpy: {np.__version__}" in sidecar
+        assert "workers: 1 (serial)" in sidecar
         header = csv_path.read_text().splitlines()[0]
         assert header.startswith("model,knob,knob_value,alpha,")
 

@@ -1,9 +1,11 @@
+import dataclasses
 import gc
+import multiprocessing
 
 import numpy as np
 import pytest
 
-from sfgof import catalog, ergodic, small_noise
+from sfgof import ar, catalog, ergodic, small_noise
 from sfgof.errors import ConfigError
 from sfgof.harness import (
     ExperimentConfig,
@@ -44,6 +46,19 @@ def quick_config(**overrides) -> ExperimentConfig:
     )
     base.update(overrides)
     return ExperimentConfig(**base)
+
+
+def ergodic_config(**overrides) -> ExperimentConfig:
+    base = dict(
+        knob="T",
+        knob_value=50.0,
+        replicates=100,
+        model_params={"name": "ou", "theta0": 1.0},
+        sim_params={"step": 0.01},
+        chunk_size=50,
+    )
+    base.update(overrides)
+    return quick_config(family="ergodic", **base)
 
 
 class TestWilson:
@@ -117,10 +132,23 @@ class TestCompareToOracle:
 
 class TestDeterminism:
     def test_threads_do_not_change_output(self):
-        r1 = run_size(quick_config(threads=1))
-        r2 = run_size(quick_config(threads=2))
-        assert r1.csv_text() == r2.csv_text()
-        assert np.array_equal(r1.statistics, r2.statistics)
+        # A reduction long enough to run on several BLAS threads in this
+        # process: the worker processes must leave this process's BLAS alone.
+        x, y = np.random.default_rng(3).standard_normal((2, 100_000))
+        dot_before = np.dot(x, y)
+        # The ergodic paths have 2e4 points, so their np.dot runs on several
+        # BLAS threads at threads=1 and on one in each worker at threads=2.
+        for config in (quick_config(), ergodic_config(knob_value=200.0)):
+            r1 = run_size(dataclasses.replace(config, threads=1))
+            r2 = run_size(dataclasses.replace(config, threads=2))
+            assert r1.workers == "1 (serial)"
+            if "fork" in multiprocessing.get_all_start_methods():
+                assert r2.workers.startswith("2 (fork")
+            assert r1.csv_text() == r2.csv_text()
+            assert np.array_equal(r1.statistics, r2.statistics)
+            assert np.array_equal(r1.theta_hat, r2.theta_hat)
+            assert np.array_equal(r1.theta_bar, r2.theta_bar)
+        assert np.dot(x, y) == dot_before
 
     def test_chunk_size_does_not_change_output(self):
         r1 = run_size(quick_config(chunk_size=40))
@@ -165,6 +193,14 @@ class TestModesAndValidation:
         with pytest.raises(ConfigError):
             run_size(quick_config(family="garch"))
 
+    def test_replicate_errors_reach_the_caller_from_workers(self):
+        raised = []
+        for threads in (1, 2):
+            with pytest.raises(ConfigError) as info:
+                run_size(quick_config(approach="bogus", threads=threads))
+            raised.append((type(info.value), str(info.value)))
+        assert raised[0] == raised[1] == (ConfigError, "unknown small-noise approach 'bogus'")
+
 
 class TestExclusions:
     def test_blow_ups_counted_and_flagged(self):
@@ -185,8 +221,13 @@ class TestExclusions:
         assert "100" in report.csv_text().splitlines()[1].split(",")[-1]
 
 
-def _table_counts() -> tuple[int, int, int]:
-    return len(ergodic._THETA_TABLES), len(small_noise._FISHER_TABLES), len(small_noise._WINDOW_TABLES)
+def _table_counts() -> tuple[int, int, int, int]:
+    return (
+        len(ergodic._THETA_TABLES),
+        len(small_noise._FISHER_TABLES),
+        len(small_noise._WINDOW_TABLES),
+        len(ar._DENSITY_CACHE),
+    )
 
 
 class TestTableCaches:
@@ -198,22 +239,23 @@ class TestTableCaches:
         small_noise._fisher_cached(model, 0.5)
         small_noise._window_table(model, 100, 0.01)
         assert model in small_noise._FISHER_TABLES and model in small_noise._WINDOW_TABLES
-        del model
+        # An AR model without a closed-form stationary law caches its fixed-point densities.
+        ar_model = catalog.ar_alternative(
+            catalog.build_ar_model({"name": "linear-gaussian"}),
+            "cosine-perturbed",
+            {"base_theta": 0.5, "amplitude": 0.3},
+        )
+        assert ar_model.invariant_logpdf is None
+        ar.stationary_density(ar_model, 0.5)
+        assert ar_model in ar._DENSITY_CACHE
+        assert ar.stationary_density(ar_model, 0.5, n_nodes=1025).x.size == 1025  # keyed on the grid size too
+        del model, ar_model
         gc.collect()
         assert _table_counts() == before
 
     def test_studies_leave_no_tables(self):
-        ergodic_config = quick_config(
-            family="ergodic",
-            knob="T",
-            knob_value=50.0,
-            replicates=100,
-            model_params={"name": "ou", "theta0": 1.0},
-            sim_params={"step": 0.01},
-            chunk_size=50,
-        )
         before = _table_counts()
-        for config in (quick_config(), quick_config(master_seed=6), ergodic_config, ergodic_config):
+        for config in (quick_config(), quick_config(master_seed=6), ergodic_config(), ergodic_config()):
             run_size(config)
         gc.collect()
         assert _table_counts() == before

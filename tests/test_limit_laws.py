@@ -155,6 +155,13 @@ class TestCriticalValues:
     def test_survival_series_shape(self):
         assert kolmogorov_survival(0.1) == pytest.approx(1.0, abs=1e-6)
         assert kolmogorov_survival(3.0) < 1e-6
+        # Small x, where the alternating series is cut off too early: P(sup |B| > x) is 1 to within 1e-300.
+        for x in (0.005, 0.01, 0.03):
+            assert kolmogorov_survival(x) == pytest.approx(1.0, abs=1e-12)
+        # The dual form, used below 0.3, meets the alternating series there.
+        k = np.arange(1, 101)
+        alternating = 2.0 * np.sum((-1.0) ** (k - 1) * np.exp(-2.0 * k**2 * 0.09))
+        assert kolmogorov_survival(np.nextafter(0.3, 0.0)) == pytest.approx(alternating, abs=1e-14)
 
     def test_mc_floor_contracts(self):
         with pytest.raises(ConfigError):
