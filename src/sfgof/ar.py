@@ -108,7 +108,9 @@ def _fixed_point_density(model: ARModel, theta: float, lo: float, hi: float, n_n
     f = np.clip(f, 0.0, None)
     f /= max(f.sum() * dx, 1e-300)
     for _ in range(_FIXED_POINT_MAX_ITER):
-        f_new = kernel @ f * dx
+        # einsum, not a BLAS gemv, so that the density (and mle_ar through it)
+        # does not depend on the BLAS thread count.
+        f_new = np.einsum("ij,j->i", kernel, f) * dx
         total = f_new.sum() * dx
         if not np.isfinite(total) or total <= 0.0:
             raise ModelError(f"stationary fixed point diverged at theta={theta}")

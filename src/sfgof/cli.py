@@ -17,13 +17,34 @@ from pathlib import Path
 import numpy as np
 
 from . import ar, catalog, ergodic, limit_laws, poisson, small_noise
-from .errors import SfgofError
+from .errors import ConfigError, SfgofError
 from .harness import ExperimentConfig, run_power, run_size
 from .inference_kit import RngStream, TimeGrid
 
 
 def _load_config(path: str) -> dict:
-    return json.loads(Path(path).read_text())
+    try:
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+
+
+def _load_rows(path: str, **kwargs) -> np.ndarray:
+    """Numeric rows of a recorded-data file, with read and parse failures as ConfigError."""
+    try:
+        return np.loadtxt(path, **kwargs)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"cannot parse {path}: {exc}") from exc
+
+
+def _require_theta0(theta0):
+    if theta0 is None:
+        raise ConfigError("simulating a sample needs theta0 in the config or its model section")
+    return theta0
 
 
 def _print_test_row(knob_name: str, knob_value, model_name: str, outcome) -> None:
@@ -59,7 +80,7 @@ def _cmd_test(args) -> int:
         model = catalog.build_small_noise_model(model_cfg)
         epsilon = cfg["epsilon"]
         grid = TimeGrid(0.0, model.horizon, int(cfg.get("num_steps", small_noise.DEFAULT_NUM_STEPS)))
-        traj = small_noise.simulate_sde(model, theta0, epsilon, grid, rng)
+        traj = small_noise.simulate_sde(model, _require_theta0(theta0), epsilon, grid, rng)
         outcome = small_noise.run_test_small_noise(
             model, traj, alpha, approach=cfg.get("approach", "split"), kind=kind
         )
@@ -67,7 +88,7 @@ def _cmd_test(args) -> int:
     elif family == "ergodic":
         model = catalog.build_ergodic_model(model_cfg)
         horizon = cfg["T"]
-        traj = ergodic.simulate_ergodic(model, theta0, horizon, cfg.get("step", 0.01), rng)
+        traj = ergodic.simulate_ergodic(model, _require_theta0(theta0), horizon, cfg.get("step", 0.01), rng)
         outcome = ergodic.run_test_ergodic(
             model, traj, alpha, approach=cfg.get("approach", "split"), kind=kind, d_T=cfg.get("d_T")
         )
@@ -76,19 +97,19 @@ def _cmd_test(args) -> int:
         model = catalog.build_poisson_model(model_cfg)
         n = int(cfg["n"])
         if args.events:
-            rows = np.loadtxt(args.events, delimiter=",", ndmin=2)
+            rows = _load_rows(args.events, delimiter=",", ndmin=2)
             events = poisson.events_from_rows(model.period, n, rows)
         else:
-            events = poisson.simulate_periodic_poisson(model, theta0, n, rng)
+            events = poisson.simulate_periodic_poisson(model, _require_theta0(theta0), n, rng)
         outcome = poisson.run_test_poisson(model, events, alpha, kind=kind, N=cfg.get("N"))
         _print_test_row("n", n, model.name, outcome)
     elif family == "ar":
         model = catalog.build_ar_model(model_cfg)
         if args.data:
-            values = np.loadtxt(args.data, ndmin=1)
+            values = _load_rows(args.data, ndmin=1)
             sample = ar.SeriesSample(values=np.asarray(values, dtype=float))
         else:
-            sample = ar.simulate_ar(model, theta0, int(cfg["n"]), rng)
+            sample = ar.simulate_ar(model, _require_theta0(theta0), int(cfg["n"]), rng)
         outcome = ar.run_test_ar(model, sample, alpha, kind=kind)
         _print_test_row("n", sample.n, model.name, outcome)
     else:

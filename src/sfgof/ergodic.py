@@ -234,10 +234,14 @@ def mle_ergodic(model: ErgodicModel, traj: Trajectory, tol: float = 1e-6) -> flo
     xl = x[:-1]
     dx = np.diff(x)
     inv_sig2 = 1.0 / np.asarray(model.diffusion(xl), dtype=float) ** 2
+    w = inv_sig2 * dx
 
+    # einsum, not np.dot: BLAS sums in an order that depends on its thread
+    # count, and the optimizer's parabolic steps would carry that rounding
+    # into theta_hat.
     def loglik(theta: float) -> float:
         s = np.asarray(model.drift(theta, xl), dtype=float)
-        return float(np.dot(s * inv_sig2, dx) - 0.5 * h * np.dot(s * s, inv_sig2))
+        return float(np.einsum("i,i->", s, w) - 0.5 * h * np.einsum("i,i,i->", s, s, inv_sig2))
 
     return maximize_1d(loglik, model.theta_domain, tol=tol)
 

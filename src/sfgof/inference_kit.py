@@ -1,9 +1,11 @@
 """Shared numerics used by every model pipeline.
 
-Provides bounded scalar maximization (coarse grid plus golden-section
-refinement), composite Simpson quadrature, a classical Runge-Kutta ODE
-integrator on uniform grids, and counter-based random streams that make
-Monte Carlo replication deterministic under any degree of parallelism.
+Provides bounded scalar maximization (a coarse grid scan, in one call when
+the objective broadcasts over theta, then Brent's parabolic-plus-golden
+refinement of every sampled peak), composite Simpson quadrature, a
+classical Runge-Kutta ODE integrator on uniform grids, and counter-based
+random streams that make Monte Carlo replication deterministic under any
+degree of parallelism.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericalError
 
-_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+_CGOLD = (3.0 - math.sqrt(5.0)) / 2.0  # golden-section step as a share of the longer bracket side
 
 
 @dataclass(frozen=True)
@@ -96,33 +98,75 @@ def _eval_scalar(f: Callable[[float], float], x: float) -> float:
 
 
 def _eval_array(f: Callable, xs: np.ndarray) -> np.ndarray:
-    """Evaluate f on a node array, accepting vectorized or scalar-only callables."""
+    """Evaluate f on a node array, accepting vectorized or scalar-only callables.
+
+    The array call is tried first; a callable that rejects it, or returns
+    anything but one value per node, is called once per node with a Python
+    float.
+    """
     try:
         out = np.asarray(f(xs), dtype=float)
         if out.shape == xs.shape:
             return out
     except (TypeError, ValueError):
         pass
-    return np.array([float(f(x)) for x in xs])
+    return np.array([float(f(float(x))) for x in xs])
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximization on [lo, hi]; ties move the bracket right."""
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc = _eval_scalar(f, c)
-    fd = _eval_scalar(f, d)
-    while hi - lo > tol:
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = _eval_scalar(f, c)
+def _brent_max(f, lo: float, hi: float, x: float, fx: float, tol: float) -> tuple[float, float]:
+    """Brent's parabolic-plus-golden maximization on [lo, hi], started at x with f(x) = fx.
+
+    A trial point replaces the incumbent only when its value is strictly
+    higher, so on a flat stretch the start point is kept.  The search stops
+    once the incumbent lies within tol of both ends of the shrinking bracket
+    and returns it with its value.  Brent (1973), Algorithms for
+    Minimization without Derivatives, ch. 5.
+    """
+    a, b = lo, hi
+    v = w = x
+    fv = fw = fx
+    d = e = 0.0  # last step and the step before it
+    tol1 = 0.5 * tol
+    while True:
+        m = 0.5 * (a + b)
+        if abs(x - m) <= tol - 0.5 * (b - a):
+            return x, fx
+        golden = True
+        if abs(e) > tol1:
+            # Vertex of the parabola through (x, fx), (w, fw), (v, fv).
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            # Accept it only inside the bracket and if it moves less than half the step before last.
+            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
+                e, d = d, p / q
+                golden = False
+                if (x + d) - a < tol or b - (x + d) < tol:
+                    d = tol1 if m >= x else -tol1
+        if golden:
+            e = (a - x) if x >= m else (b - x)
+            d = _CGOLD * e
+        u = x + (d if abs(d) >= tol1 else (tol1 if d >= 0.0 else -tol1))
+        fu = _eval_scalar(f, u)
+        if fu > fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
         else:
-            lo, c, fc = c, d, fd
-            d = lo + _INVPHI * (hi - lo)
-            fd = _eval_scalar(f, d)
-    x = 0.5 * (lo + hi)
-    return x, _eval_scalar(f, x)
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
 
 
 def maximize_1d(
@@ -133,17 +177,24 @@ def maximize_1d(
 ) -> float:
     """Maximize a scalar objective over an open interval.
 
-    A coarse grid of interior points is scanned first; every sampled local
-    maximum is refined by golden-section search in its bracketing cell.
-    Among candidates whose values tie within floating-point resolution the
-    lowest theta wins, which makes the result deterministic for flat or
-    multi-peaked objectives.
+    A coarse grid of interior points is scanned first, in one call on the
+    grid array when the objective broadcasts over theta and one call per
+    point otherwise.  Every sampled local maximum is refined by Brent's
+    parabolic-plus-golden search in its bracketing cell, started from the
+    grid point; the refined point is within tol of a maximizer of the cell
+    when the objective is unimodal there.  Among candidates whose values tie
+    within floating-point resolution the lowest theta wins, which makes the
+    result deterministic for flat or multi-peaked objectives.  Non-finite
+    objective values raise NumericalError.
     """
     if tol <= 0:
         raise ConfigError(f"tol must be positive, got {tol}")
     a, b = interval.lower, interval.upper
     xs = np.linspace(a, b, grid_points + 2)[1:-1]
-    fs = np.array([_eval_scalar(objective, x) for x in xs])
+    fs = _eval_array(objective, xs)
+    bad = ~np.isfinite(fs)
+    if bad.any():
+        raise NumericalError(f"objective returned a non-finite value at theta={float(xs[bad][0])!r}")
 
     padded = np.concatenate([[-np.inf], fs, [-np.inf]])
     peaks = np.flatnonzero((fs >= padded[:-2]) & (fs >= padded[2:]))
@@ -152,9 +203,9 @@ def maximize_1d(
     cand_f = list(fs)
     h = xs[1] - xs[0]
     for i in peaks:
-        lo = max(a, xs[i] - h)
-        hi = min(b, xs[i] + h)
-        x_ref, f_ref = _golden_max(objective, lo, hi, tol)
+        lo = max(a, float(xs[i] - h))
+        hi = min(b, float(xs[i] + h))
+        x_ref, f_ref = _brent_max(objective, lo, hi, float(xs[i]), float(fs[i]), tol)
         cand_x.append(x_ref)
         cand_f.append(f_ref)
 
@@ -164,11 +215,6 @@ def maximize_1d(
     spread = f_best - cand_f.min()
     tie = 64.0 * np.finfo(float).eps * max(abs(f_best), spread)
     return float(cand_x[cand_f >= f_best - tie].min())
-
-
-def minimize_1d(objective, interval: ParamInterval, tol: float = 1e-8, grid_points: int = 64) -> float:
-    """Minimize by maximizing the negated objective."""
-    return maximize_1d(lambda t: -objective(t), interval, tol=tol, grid_points=grid_points)
 
 
 def integrate_1d(f: Callable, a: float, b: float, n_panels: int = 256) -> float:

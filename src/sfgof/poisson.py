@@ -30,6 +30,7 @@ from .score import ScorePath, TestOutcome, delta_stat
 
 _T_GRID_NODES = 4097
 _RATE_SCAN_NODES = 2048
+_COMPENSATOR_PANELS = 256  # Simpson panels of the likelihood's compensator integral
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,21 +150,38 @@ def mean_measure(model: PoissonModel, theta: float, t: np.ndarray) -> np.ndarray
     return np.interp(t, tg, cum)
 
 
+def _log_likelihood(model: PoissonModel, events: PeriodicEvents) -> Callable:
+    """Periodic-sample log-likelihood; -inf where the intensity is not positive at an event.
+
+    It broadcasts over an array of thetas, each a row against the pooled
+    events and the compensator's Simpson nodes; a scalar theta is passed
+    to the model as it is.
+    """
+    pooled = events.pooled()
+    n = events.n
+    nodes = np.linspace(0.0, model.period, 2 * _COMPENSATOR_PANELS + 1)
+    dt = model.period / (2 * _COMPENSATOR_PANELS)
+
+    def loglik(theta):
+        rows = np.shape(theta)
+        th = np.asarray(theta, dtype=float)[:, None] if rows else theta
+        lam = np.broadcast_to(np.asarray(model.intensity(th, pooled), dtype=float), rows + pooled.shape)
+        rate = np.broadcast_to(np.asarray(model.intensity(th, nodes), dtype=float), rows + nodes.shape)
+        total = dt / 3.0 * (
+            rate[..., 0] + rate[..., -1] + 4.0 * rate[..., 1:-1:2].sum(axis=-1) + 2.0 * rate[..., 2:-2:2].sum(axis=-1)
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            value = np.sum(np.log(lam), axis=-1) - n * total
+        return np.where(np.any(lam <= 0.0, axis=-1), -np.inf, value)
+
+    return loglik
+
+
 def mle_poisson(model: PoissonModel, events: PeriodicEvents, tol: float = 1e-6) -> float:
     """Maximizer of the periodic-sample log-likelihood."""
     if events.total_count() < 1:
         raise ConfigError("need at least one event to estimate the intensity")
-    pooled = events.pooled()
-    n = events.n
-
-    def loglik(theta: float) -> float:
-        lam = np.asarray(model.intensity(theta, pooled), dtype=float)
-        if np.any(lam <= 0.0):
-            return -np.inf
-        total = integrate_1d(lambda t: model.intensity(theta, t), 0.0, model.period, n_panels=256)
-        return float(np.sum(np.log(lam)) - n * total)
-
-    return maximize_1d(loglik, model.theta_domain, tol=tol)
+    return maximize_1d(_log_likelihood(model, events), model.theta_domain, tol=tol)
 
 
 def empirical_mean_measure(events: PeriodicEvents, n_first: int, t_grid: np.ndarray) -> np.ndarray:

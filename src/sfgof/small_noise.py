@@ -196,10 +196,12 @@ def _log_likelihood(model: SmallNoiseModel, traj: Trajectory) -> Callable[[float
     tl = ts[:-1]
     dx = np.diff(x)
     inv_sig2 = 1.0 / (eps2 * np.asarray(model.diffusion(tl, xl), dtype=float) ** 2)
+    w = inv_sig2 * dx
 
+    # einsum, not np.dot: BLAS rounding depends on its thread count (see mle_ergodic).
     def loglik(theta: float) -> float:
         s = np.asarray(model.drift(theta, tl, xl), dtype=float)
-        return float(np.dot(s * inv_sig2, dx) - 0.5 * h * np.dot(s * s, inv_sig2))
+        return float(np.einsum("i,i->", s, w) - 0.5 * h * np.einsum("i,i,i->", s, s, inv_sig2))
 
     return loglik
 
@@ -252,13 +254,14 @@ def mde_preliminary(
     dt = np.diff(idx) * h
     n_nodes = thetas.size
 
-    def neg_distance(theta: float) -> float:
+    # Broadcasts over an array of thetas, one flow row per theta.
+    def neg_distance(theta):
         pos = np.interp(theta, thetas, np.arange(n_nodes))
-        i0 = min(int(pos), n_nodes - 2)
-        w = pos - i0
+        i0 = np.minimum(np.asarray(pos).astype(int), n_nodes - 2)
+        w = (pos - i0)[..., None]
         flow = (1.0 - w) * flows[i0] + w * flows[i0 + 1]
         resid2 = (x_obs - flow) ** 2
-        return -float(np.sum(0.5 * dt * (resid2[1:] + resid2[:-1])))
+        return -np.sum(0.5 * dt * (resid2[..., 1:] + resid2[..., :-1]), axis=-1)
 
     return maximize_1d(neg_distance, model.theta_domain, tol=tol)
 

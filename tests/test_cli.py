@@ -105,6 +105,46 @@ class TestTest:
         assert out[1].split(",")[5] == ""  # no preliminary estimate for this family
 
 
+class TestBoundaryErrors:
+    """Bad files and incomplete configs end in `error: ...` and exit code 2, not a traceback."""
+
+    def _poisson_config(self, tmp_path):
+        return write_config(
+            tmp_path,
+            "po.json",
+            {"family": "poisson", "model": {"name": "linear-h"}, "theta0": 2.0, "n": 60, "alpha": 0.05},
+        )
+
+    def test_malformed_events_file(self, tmp_path, capsys):
+        events_path = tmp_path / "events.csv"
+        events_path.write_text("0,0.25\n1,not-a-time\n")
+        code = main(["test", "poisson", "--config", self._poisson_config(tmp_path), "--events", str(events_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot parse") and "events.csv" in err
+
+    def test_missing_events_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "absent.csv")
+        assert main(["test", "poisson", "--config", self._poisson_config(tmp_path), "--events", missing]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {missing}")
+
+    def test_missing_data_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "ar.json", {"model": {"name": "linear-gaussian"}, "theta0": 0.5, "n": 200})
+        missing = str(tmp_path / "absent.csv")
+        assert main(["test", "ar", "--config", cfg, "--data", missing]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {missing}")
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "absent.json")
+        assert main(["test", "ar", "--config", missing]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read config {missing}")
+
+    def test_simulation_without_theta0(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, "ar.json", {"model": {"name": "linear-gaussian"}, "n": 200})
+        assert main(["test", "ar", "--config", cfg]) == 2
+        assert "theta0" in capsys.readouterr().err
+
+
 class TestExperiments:
     def _size_config(self, tmp_path, replicates=100):
         return write_config(

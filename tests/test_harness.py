@@ -136,8 +136,10 @@ class TestDeterminism:
         # process: the worker processes must leave this process's BLAS alone.
         x, y = np.random.default_rng(3).standard_normal((2, 100_000))
         dot_before = np.dot(x, y)
-        # The ergodic paths have 2e4 points, so their np.dot runs on several
-        # BLAS threads at threads=1 and on one in each worker at threads=2.
+        # The ergodic paths have 2e4 points.  A BLAS dot product over them
+        # would run on several threads at threads=1 and on one in each worker
+        # at threads=2, and round differently; the optimizer's parabolic steps
+        # would carry that into theta_hat.  So the likelihood sums use einsum.
         for config in (quick_config(), ergodic_config(knob_value=200.0)):
             r1 = run_size(dataclasses.replace(config, threads=1))
             r2 = run_size(dataclasses.replace(config, threads=2))

@@ -14,13 +14,28 @@ from sfgof.inference_kit import (
     cumulative_trapezoid,
     integrate_1d,
     maximize_1d,
-    minimize_1d,
     ode_solve,
     simpson_array,
     two_sample_ks,
 )
 
 UNIT = ParamInterval(0.0, 1.0)
+
+
+def minimize_1d(objective, interval: ParamInterval, tol: float = 1e-8, grid_points: int = 64) -> float:
+    """Minimize by maximizing the negated objective."""
+    return maximize_1d(lambda t: -objective(t), interval, tol=tol, grid_points=grid_points)
+
+
+def counted(objective):
+    """The objective plus a list whose length is the number of calls made to it."""
+    calls = []
+
+    def wrapper(theta):
+        calls.append(np.ndim(theta))
+        return objective(theta)
+
+    return wrapper, calls
 
 
 class TestParamInterval:
@@ -73,6 +88,24 @@ class TestMaximize1d:
             maximize_1d(lambda t: math.nan, UNIT)
         with pytest.raises(NumericalError):
             maximize_1d(lambda t: math.inf if t > 0.5 else 0.0, UNIT)
+
+    def test_non_finite_broadcast_objective_names_theta(self):
+        # Broadcasts over theta, so the whole grid is one call; the first
+        # grid point above 0.5 is 33/65.
+        with pytest.raises(NumericalError, match=r"theta=0\.5076923"):
+            maximize_1d(lambda t: np.where(t > 0.5, np.nan, -t), UNIT)
+
+    @pytest.mark.parametrize("peak", [0.3, 0.123456, 0.9876])
+    def test_call_counts_on_a_quadratic(self, peak):
+        # Scalar only: one rejected array call, 64 grid calls, then Brent.
+        scalar, scalar_calls = counted(lambda t: -math.pow(t - peak, 2))
+        assert abs(maximize_1d(scalar, UNIT, tol=1e-8) - peak) < 1e-8
+        assert len(scalar_calls) <= 64 + 12
+        # Broadcasting: the grid is one call on the theta array.
+        vector, vector_calls = counted(lambda t: -((t - peak) ** 2))
+        assert abs(maximize_1d(vector, UNIT, tol=1e-8) - peak) < 1e-8
+        assert len(vector_calls) <= 1 + 12
+        assert vector_calls[0] == 1 and set(vector_calls[1:]) == {0}
 
     def test_bad_tol(self):
         with pytest.raises(ConfigError):

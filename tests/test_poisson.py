@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from sfgof.errors import ConfigError, ModelError
 from sfgof.inference_kit import ParamInterval, RngStream, integrate_1d
 from sfgof.poisson import (
     PeriodicEvents,
+    _log_likelihood,
     PoissonModel,
     empirical_mean_measure,
     events_from_rows,
@@ -112,6 +114,40 @@ class TestMle:
         empty = PeriodicEvents(period=1.0, times=tuple(np.empty(0) for _ in range(5)))
         with pytest.raises(ConfigError):
             mle_poisson(model, empty)
+
+    def test_batched_loglik_matches_scalar(self, model, events):
+        loglik = _log_likelihood(model, events)
+        thetas = np.linspace(0.5, 5.0, 66)[1:-1]
+        batch = loglik(thetas)
+        assert batch.shape == thetas.shape
+        scalar = np.array([float(loglik(float(t))) for t in thetas])
+        assert np.allclose(batch, scalar, rtol=1e-12, atol=0.0)
+
+    def test_scalar_only_plugin_intensity(self):
+        # A plugin written for scalar theta: math.exp rejects the grid array,
+        # so the optimizer falls back to one call per theta, with a Python float.
+        seen = []
+
+        def intensity(theta, t):
+            rate = math.exp(theta)
+            seen.append(type(theta))
+            return rate * (1.0 + 0.5 * np.sin(2.0 * np.pi * np.asarray(t, dtype=float)))
+
+        plugin = PoissonModel(
+            name="exp-plugin",
+            intensity=intensity,
+            intensity_dtheta=intensity,
+            period=1.0,
+            theta_domain=ParamInterval(-1.0, 2.0),
+        )
+        ev = simulate_periodic_poisson(plugin, math.log(2.0), 300, RngStream(59, 0))
+        seen.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            theta = mle_poisson(plugin, ev)
+        assert set(seen) == {float}
+        # The profile integrates to 1 over the period, so exp(theta_hat) is the mean count.
+        assert abs(theta - math.log(ev.total_count() / 300.0)) <= 1e-6
 
 
 class TestMde:
