@@ -7,7 +7,7 @@ family, power runs check that the shipped alternatives are caught.
 """
 
 import argparse
-import json
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -25,27 +25,6 @@ DEFAULT_CONFIGS = [
 ]
 
 
-def load_experiment(path: Path, seed: int, threads: int) -> ExperimentConfig:
-    cfg = json.loads(path.read_text())
-    return ExperimentConfig(
-        family=cfg["family"],
-        knob=cfg["knob"],
-        knob_value=cfg["knob_value"],
-        replicates=int(cfg["replicates"]),
-        alphas=tuple(cfg.get("alphas", [0.05])),
-        kind=cfg.get("kind", "cvm"),
-        approach=cfg.get("approach", "split"),
-        master_seed=seed,
-        model_params=dict(cfg.get("model", {})),
-        sim_params=dict(cfg.get("sim", {})),
-        alternative=cfg.get("alternative"),
-        alternative_params=dict(cfg.get("alternative_params", {})),
-        threads=threads,
-        chunk_size=int(cfg.get("chunk_size", 250)),
-        label=cfg.get("label", path.stem),
-    )
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--configs-dir", default=Path(__file__).resolve().parent.parent / "configs")
@@ -59,7 +38,9 @@ def main() -> int:
     failures = 0
     summary_lines = []
     for name in names:
-        config = load_experiment(Path(args.configs_dir) / name, args.seed, args.threads)
+        path = Path(args.configs_dir) / name
+        config = ExperimentConfig.from_file(path, args.seed, args.threads)
+        config = dataclasses.replace(config, label=config.label or path.stem)
         report = run_power(config) if config.alternative else run_size(config)
         report.write(args.out)
         text = report.csv_text().splitlines()

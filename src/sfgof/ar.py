@@ -24,8 +24,7 @@ from .inference_kit import (
     maximize_1d,
     simpson_array,
 )
-from .limit_laws import CriticalValue, default_critical_value
-from .score import ScorePath, TestOutcome, delta_stat
+from .score import ScorePath, TestOutcome, decide
 
 _X_NODES = 2049
 _TAIL_MASS = 1e-8
@@ -169,7 +168,12 @@ def _check_tails(dens: StationaryDensity) -> None:
 
 def simulate_ar(model: ARModel, theta0: float, n: int, rng: RngStream) -> SeriesSample:
     """Stationary-start sample of length n + 1."""
-    values = simulate_ar_batch(model, theta0, n, [rng])[:, 0]
+    return sample_at(simulate_ar_batch(model, theta0, n, [rng]), 0)
+
+
+def sample_at(paths: np.ndarray, j: int) -> SeriesSample:
+    """Column j of `simulate_ar_batch` paths; NumericalError if it is not finite."""
+    values = paths[:, j]
     if not np.all(np.isfinite(values)):
         raise NumericalError("autoregression state became non-finite")
     return SeriesSample(values=values)
@@ -291,31 +295,10 @@ def score_path_ar(model: ARModel, sample: SeriesSample, theta_hat: float) -> Sco
     return ScorePath(times=times, values=values, time_change=tau, weight=weight, step_function=True)
 
 
-def run_test_ar(
-    model: ARModel,
-    sample: SeriesSample,
-    alpha: float,
-    kind: str = "cvm",
-    critical: CriticalValue | None = None,
-    tol: float = 1e-6,
-) -> TestOutcome:
+def run_test_ar(model: ARModel, sample: SeriesSample, alpha: float, kind: str = "cvm") -> TestOutcome:
     """Fit the regression family, build the step score path, and test."""
-    theta_hat = mle_ar(model, sample, tol=tol)
-    path = score_path_ar(model, sample, theta_hat)
-    stat = delta_stat(path, kind)
-    crit = critical if critical is not None else default_critical_value(alpha, kind)
-    boundary_tol = 1e-3 * model.theta_domain.width
-    return TestOutcome(
-        statistic=stat,
-        critical=crit,
-        alpha=alpha,
-        reject=stat > crit.value,
-        kind=kind,
-        approach="mle",
-        theta_hat=theta_hat,
-        theta_bar=None,
-        diagnostics={"mle_boundary": model.theta_domain.near_boundary(theta_hat, boundary_tol)},
-    )
+    theta_hat = mle_ar(model, sample)
+    return decide(score_path_ar(model, sample, theta_hat), alpha, kind, "mle", model.theta_domain, theta_hat)
 
 
 def linear_gaussian_ar(

@@ -10,41 +10,12 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
-import numpy as np
-
-from . import ar, catalog, ergodic, limit_laws, poisson, small_noise
+from . import catalog, limit_laws
 from .errors import ConfigError, SfgofError
 from .harness import ExperimentConfig, run_power, run_size
-from .inference_kit import RngStream, TimeGrid
-
-
-def _load_config(path: str) -> dict:
-    try:
-        return json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-
-
-def _load_rows(path: str, **kwargs) -> np.ndarray:
-    """Numeric rows of a recorded-data file, with read and parse failures as ConfigError."""
-    try:
-        return np.loadtxt(path, **kwargs)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse {path}: {exc}") from exc
-
-
-def _require_theta0(theta0):
-    if theta0 is None:
-        raise ConfigError("simulating a sample needs theta0 in the config or its model section")
-    return theta0
+from .inference_kit import RngStream
 
 
 def _print_test_row(knob_name: str, knob_value, model_name: str, outcome) -> None:
@@ -68,79 +39,34 @@ def _cmd_crit(args) -> int:
 
 
 def _cmd_test(args) -> int:
-    cfg = _load_config(args.config)
-    family = args.family
-    alpha = cfg.get("alpha", 0.05)
-    kind = cfg.get("kind", "cvm")
+    cfg = catalog.read_config(args.config)
+    family = catalog.FAMILIES[args.family]
     model_cfg = dict(cfg.get("model", {}))
-    theta0 = cfg.get("theta0", model_cfg.get("theta0"))
-    rng = RngStream(args.seed, 0)
-
-    if family == "small-noise":
-        model = catalog.build_small_noise_model(model_cfg)
-        epsilon = cfg["epsilon"]
-        grid = TimeGrid(0.0, model.horizon, int(cfg.get("num_steps", small_noise.DEFAULT_NUM_STEPS)))
-        traj = small_noise.simulate_sde(model, _require_theta0(theta0), epsilon, grid, rng)
-        outcome = small_noise.run_test_small_noise(
-            model, traj, alpha, approach=cfg.get("approach", "split"), kind=kind
-        )
-        _print_test_row("epsilon", epsilon, model.name, outcome)
-    elif family == "ergodic":
-        model = catalog.build_ergodic_model(model_cfg)
-        horizon = cfg["T"]
-        traj = ergodic.simulate_ergodic(model, _require_theta0(theta0), horizon, cfg.get("step", 0.01), rng)
-        outcome = ergodic.run_test_ergodic(
-            model, traj, alpha, approach=cfg.get("approach", "split"), kind=kind, d_T=cfg.get("d_T")
-        )
-        _print_test_row("T", horizon, model.name, outcome)
-    elif family == "poisson":
-        model = catalog.build_poisson_model(model_cfg)
-        n = int(cfg["n"])
-        if args.events:
-            rows = _load_rows(args.events, delimiter=",", ndmin=2)
-            events = poisson.events_from_rows(model.period, n, rows)
-        else:
-            events = poisson.simulate_periodic_poisson(model, _require_theta0(theta0), n, rng)
-        outcome = poisson.run_test_poisson(model, events, alpha, kind=kind, N=cfg.get("N"))
-        _print_test_row("n", n, model.name, outcome)
-    elif family == "ar":
-        model = catalog.build_ar_model(model_cfg)
-        if args.data:
-            values = _load_rows(args.data, ndmin=1)
-            sample = ar.SeriesSample(values=np.asarray(values, dtype=float))
-        else:
-            sample = ar.simulate_ar(model, _require_theta0(theta0), int(cfg["n"]), rng)
-        outcome = ar.run_test_ar(model, sample, alpha, kind=kind)
-        _print_test_row("n", sample.n, model.name, outcome)
+    model = family.build(model_cfg)
+    recorded = getattr(args, family.data_flag) if family.data_flag else None
+    if recorded:
+        sample = family.load(model, cfg.get(family.knob), recorded)
+        knob = sample.n
     else:
-        raise SfgofError(f"unknown family {family!r}")
+        knob = family.parse_knob(catalog.require(cfg, family.knob, args.config))
+        theta0 = cfg.get("theta0", model_cfg.get("theta0"))
+        if theta0 is None:
+            raise ConfigError("simulating a sample needs theta0 in the config or its model section")
+        sample = family.sample(family.draw(model, None, theta0, knob, cfg, [RngStream(args.seed, 0)]), 0)
+    outcome = family.test(
+        model, sample, cfg.get("alpha", 0.05), cfg.get("approach", "split"), cfg.get("kind", "cvm"), cfg
+    )
+    _print_test_row(family.knob, knob, model.name, outcome)
     return 0
 
 
 def _experiment_config(args, mode: str) -> ExperimentConfig:
-    cfg = _load_config(args.config)
-    alternative = cfg.get("alternative")
-    if mode == "size" and alternative:
+    config = ExperimentConfig.from_file(args.config, args.seed, args.threads)
+    if mode == "size" and config.alternative:
         raise SfgofError("size config must not declare an alternative")
-    if mode == "power" and not alternative:
+    if mode == "power" and not config.alternative:
         raise SfgofError("power config needs an alternative")
-    return ExperimentConfig(
-        family=cfg["family"],
-        knob=cfg["knob"],
-        knob_value=cfg["knob_value"],
-        replicates=int(cfg["replicates"]),
-        alphas=tuple(cfg.get("alphas", [0.05])),
-        kind=cfg.get("kind", "cvm"),
-        approach=cfg.get("approach", "split"),
-        master_seed=args.seed,
-        model_params=dict(cfg.get("model", {})),
-        sim_params=dict(cfg.get("sim", {})),
-        alternative=alternative,
-        alternative_params=dict(cfg.get("alternative_params", {})),
-        threads=args.threads,
-        chunk_size=int(cfg.get("chunk_size", 250)),
-        label=cfg.get("label", ""),
-    )
+    return config
 
 
 def _cmd_experiment(args, mode: str) -> int:
@@ -173,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_crit.add_argument("--seed", type=int, default=0)
 
     p_test = sub.add_parser("test", help="run one goodness-of-fit test")
-    p_test.add_argument("family", choices=["small-noise", "ergodic", "poisson", "ar"])
+    p_test.add_argument("family", choices=list(catalog.FAMILIES))
     p_test.add_argument("--config", required=True)
     p_test.add_argument("--seed", type=int, default=0)
     p_test.add_argument("--events", help="CSV of period_index,time rows (poisson)")

@@ -30,8 +30,7 @@ from .inference_kit import (
     maximize_1d,
     simpson_array,
 )
-from .limit_laws import CriticalValue, default_critical_value
-from .score import ScorePath, TestOutcome, delta_stat
+from .score import ScorePath, TestOutcome, decide
 from .small_noise import Trajectory
 
 _X_NODES = 2049
@@ -219,12 +218,17 @@ def excursion_mask(model: ErgodicModel, paths: np.ndarray) -> np.ndarray:
 def simulate_ergodic(model: ErgodicModel, theta0: float, T: float, step: float, rng: RngStream) -> Trajectory:
     """One stationary-start Euler path as a Trajectory (epsilon field unused, set to 1)."""
     paths = simulate_ergodic_batch(model, theta0, T, step, [rng])
-    if not excursion_mask(model, paths)[0]:
-        bad = np.flatnonzero(~np.isfinite(paths[:, 0]) | (np.abs(paths[:, 0]) > 1e12))
+    return trajectory_at(paths, excursion_mask(model, paths), step, 0)
+
+
+def trajectory_at(paths: np.ndarray, ok: np.ndarray, step: float, j: int) -> Trajectory:
+    """Column j of `simulate_ergodic_batch` paths; NumericalError where `excursion_mask` put ok[j] False."""
+    if not ok[j]:
+        bad = np.flatnonzero(~np.isfinite(paths[:, j]) | (np.abs(paths[:, j]) > 1e12))
         where = bad[0] if bad.size else paths.shape[0] - 1
         raise NumericalError(f"path left the admissible region near t={where * step!r}")
     n = paths.shape[0] - 1
-    return Trajectory(TimeGrid(0.0, n * step, n), paths[:, 0], 1.0)
+    return Trajectory(TimeGrid(0.0, n * step, n), paths[:, j], 1.0)
 
 
 def mle_ergodic(model: ErgodicModel, traj: Trajectory, tol: float = 1e-6) -> float:
@@ -471,11 +475,9 @@ def run_test_ergodic(
     approach: str = "split",
     kind: str = "cvm",
     d_T: float | None = None,
-    critical: CriticalValue | None = None,
-    tol: float = 1e-6,
 ) -> TestOutcome:
     """Estimate, build the state-indexed score path, and test at level alpha."""
-    theta_hat = mle_ergodic(model, traj, tol=tol)
+    theta_hat = mle_ergodic(model, traj)
     theta_bar: float | None = None
     if approach == "split":
         theta_bar = preliminary_moments(model, traj)
@@ -483,27 +485,10 @@ def run_test_ergodic(
     elif approach == "smoothed":
         path = score_path_x_smoothed(model, traj, theta_hat, d_T=d_T)
     else:
-        raise ConfigError(f"unknown approach {approach!r}")
-    stat = delta_stat(path, kind)
-    crit = critical if critical is not None else default_critical_value(alpha, kind)
-    boundary_tol = 1e-3 * model.theta_domain.width
-    diagnostics = {
-        "mle_boundary": model.theta_domain.near_boundary(theta_hat, boundary_tol),
-        "moment_boundary": (
-            theta_bar in (model.theta_domain.lower, model.theta_domain.upper) if theta_bar is not None else False
-        ),
-    }
-    return TestOutcome(
-        statistic=stat,
-        critical=crit,
-        alpha=alpha,
-        reject=stat > crit.value,
-        kind=kind,
-        approach=approach,
-        theta_hat=theta_hat,
-        theta_bar=theta_bar,
-        diagnostics=diagnostics,
-    )
+        raise ConfigError(f"unknown ergodic approach {approach!r}")
+    domain = model.theta_domain
+    moment_boundary = theta_bar in (domain.lower, domain.upper)
+    return decide(path, alpha, kind, approach, domain, theta_hat, theta_bar, moment_boundary=moment_boundary)
 
 
 def ou_model(

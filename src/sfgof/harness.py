@@ -8,8 +8,9 @@ models, lambdas included; each worker runs BLAS on one thread, so that the
 workers do not fight BLAS's own threads for the cores.  Where fork is not
 available the blocks run serially.  Replicates that blow up numerically are
 excluded and counted; a run with more than 1% exclusions is flagged as
-failed.  An ``oracle`` pseudo-family draws the limit statistic directly
-and serves as a calibration hook for the harness itself.
+failed.  Every family runs the same block function: it draws the block's
+replicates and tests each with the family's own run_test, through the
+`catalog.Family` record that ``sfgof test`` uses too.
 """
 
 from __future__ import annotations
@@ -25,10 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import ar, catalog, ergodic, limit_laws, poisson, small_noise
+from . import catalog, limit_laws
 from .errors import ConfigError, ModelError, NumericalError
-from .inference_kit import RngStream, TimeGrid, two_sample_ks
-from .score import delta_stat
+from .inference_kit import RngStream, two_sample_ks
 
 _EXCLUSION_CEILING = 0.01
 _REPORT_QUANTILES = (0.5, 0.9, 0.95, 0.99)
@@ -68,6 +68,31 @@ class ExperimentConfig:
                 raise ConfigError(f"alpha must lie in (0, 1), got {alpha}")
         if self.threads < 1 or self.chunk_size < 1:
             raise ConfigError("threads and chunk_size must be positive")
+
+    @classmethod
+    def from_file(cls, path: str | Path, master_seed: int = 0, threads: int = 1) -> ExperimentConfig:
+        """The experiment that a JSON config file describes (see configs/)."""
+        cfg = catalog.read_config(path)
+        family, knob, knob_value, replicates = (
+            catalog.require(cfg, key, path) for key in ("family", "knob", "knob_value", "replicates")
+        )
+        return cls(
+            family=family,
+            knob=knob,
+            knob_value=knob_value,
+            replicates=int(replicates),
+            alphas=tuple(cfg.get("alphas", [0.05])),
+            kind=cfg.get("kind", "cvm"),
+            approach=cfg.get("approach", "split"),
+            master_seed=master_seed,
+            model_params=dict(cfg.get("model", {})),
+            sim_params=dict(cfg.get("sim", {})),
+            alternative=cfg.get("alternative"),
+            alternative_params=dict(cfg.get("alternative_params", {})),
+            threads=threads,
+            chunk_size=int(cfg.get("chunk_size", 250)),
+            label=cfg.get("label", ""),
+        )
 
     def name(self) -> str:
         if self.label:
@@ -174,171 +199,30 @@ def _empty_block(size: int) -> ReplicateBlock:
     return ReplicateBlock(np.full(size, np.nan), np.full(size, np.nan), np.full(size, np.nan))
 
 
-def _prepare_small_noise(config: ExperimentConfig):
-    model = catalog.build_small_noise_model(config.model_params)
-    theta0 = config.model_params.get("theta0", 0.5)
-    epsilon = float(config.knob_value)
-    num_steps = int(config.sim_params.get("num_steps", small_noise.DEFAULT_NUM_STEPS))
-    grid = TimeGrid(0.0, model.horizon, num_steps)
-    sim_model = (
-        catalog.small_noise_alternative(model, config.alternative, config.alternative_params)
-        if config.alternative
-        else model
-    )
+def _prepare(config: ExperimentConfig):
+    """The block function of a study: replicates [start, stop) of its family's draw, each tested."""
+    family = catalog.family(config.family)
+    model = family.build(config.model_params)
+    alt = family.alternative(model, config.alternative, config.alternative_params) if config.alternative else None
+    theta0 = config.model_params.get("theta0", family.theta0)
+    knob = family.parse_knob(config.knob_value)
 
     def block_fn(start: int, stop: int) -> ReplicateBlock:
-        paths = small_noise.simulate_sde_batch(
-            sim_model, theta0, epsilon, grid, _replicate_streams(config, start, stop)
-        )
+        drawn = family.draw(model, alt, theta0, knob, config.sim_params, _replicate_streams(config, start, stop))
         block = _empty_block(stop - start)
         for j in range(stop - start):
-            column = paths[:, j]
-            if not np.all(np.isfinite(column)):
-                continue
-            traj = small_noise.Trajectory(grid, column, epsilon)
             try:
-                theta_hat = small_noise.mle_small_noise(model, traj)
-                if config.approach == "split":
-                    theta_bar = small_noise.mde_preliminary(model, traj)
-                    path = small_noise.score_path_split(model, traj, theta_bar, theta_hat)
-                    block.theta_bar[j] = theta_bar
-                elif config.approach == "ito":
-                    path = small_noise.score_path_ito(model, traj, theta_hat)
-                else:
-                    raise ConfigError(f"unknown small-noise approach {config.approach!r}")
-                block.statistics[j] = delta_stat(path, config.kind)
-                block.theta_hat[j] = theta_hat
+                sample = family.sample(drawn, j)
+                outcome = family.test(model, sample, config.alphas[0], config.approach, config.kind, config.sim_params)
             except (NumericalError, ModelError):
                 continue
-        return block
-
-    return block_fn
-
-
-def _prepare_ergodic(config: ExperimentConfig):
-    model = catalog.build_ergodic_model(config.model_params)
-    theta0 = config.model_params.get("theta0", 1.0)
-    horizon = float(config.knob_value)
-    step = float(config.sim_params.get("step", 0.01))
-    d_t = config.sim_params.get("d_T")
-    sim_model = (
-        catalog.ergodic_alternative(model, config.alternative, config.alternative_params)
-        if config.alternative
-        else model
-    )
-
-    def block_fn(start: int, stop: int) -> ReplicateBlock:
-        paths = ergodic.simulate_ergodic_batch(
-            sim_model, theta0, horizon, step, _replicate_streams(config, start, stop)
-        )
-        ok = ergodic.excursion_mask(sim_model, paths)
-        n = paths.shape[0] - 1
-        grid = TimeGrid(0.0, n * step, n)
-        block = _empty_block(stop - start)
-        for j in range(stop - start):
-            if not ok[j]:
-                continue
-            traj = small_noise.Trajectory(grid, paths[:, j], 1.0)
-            try:
-                theta_hat = ergodic.mle_ergodic(model, traj)
-                if config.approach == "split":
-                    theta_bar = ergodic.preliminary_moments(model, traj)
-                    path = ergodic.score_path_x_split(model, traj, theta_bar, theta_hat)
-                    block.theta_bar[j] = theta_bar
-                elif config.approach == "smoothed":
-                    path = ergodic.score_path_x_smoothed(model, traj, theta_hat, d_T=d_t)
-                else:
-                    raise ConfigError(f"unknown ergodic approach {config.approach!r}")
-                block.statistics[j] = delta_stat(path, config.kind)
-                block.theta_hat[j] = theta_hat
-            except (NumericalError, ModelError):
-                continue
-        return block
-
-    return block_fn
-
-
-def _prepare_poisson(config: ExperimentConfig):
-    model = catalog.build_poisson_model(config.model_params)
-    theta0 = config.model_params.get("theta0", 2.0)
-    n_periods = int(config.knob_value)
-    n_head = config.sim_params.get("N")
-    intensity_fn = (
-        catalog.poisson_alternative(model, config.alternative, config.alternative_params)
-        if config.alternative
-        else None
-    )
-
-    def block_fn(start: int, stop: int) -> ReplicateBlock:
-        block = _empty_block(stop - start)
-        for j, stream in enumerate(_replicate_streams(config, start, stop)):
-            try:
-                events = poisson.simulate_periodic_poisson(
-                    model, theta0, n_periods, stream, intensity_fn=intensity_fn
-                )
-                outcome = poisson.run_test_poisson(model, events, config.alphas[0], kind=config.kind, N=n_head)
-                block.statistics[j] = outcome.statistic
-                block.theta_hat[j] = outcome.theta_hat
+            block.statistics[j] = outcome.statistic
+            block.theta_hat[j] = outcome.theta_hat
+            if outcome.theta_bar is not None:
                 block.theta_bar[j] = outcome.theta_bar
-            except (NumericalError, ModelError):
-                continue
         return block
 
     return block_fn
-
-
-def _prepare_ar(config: ExperimentConfig):
-    model = catalog.build_ar_model(config.model_params)
-    theta0 = config.model_params.get("theta0", 0.5)
-    n = int(config.knob_value)
-    sim_model = (
-        catalog.ar_alternative(model, config.alternative, config.alternative_params) if config.alternative else model
-    )
-
-    def block_fn(start: int, stop: int) -> ReplicateBlock:
-        paths = ar.simulate_ar_batch(sim_model, theta0, n, _replicate_streams(config, start, stop))
-        block = _empty_block(stop - start)
-        for j in range(stop - start):
-            column = paths[:, j]
-            if not np.all(np.isfinite(column)):
-                continue
-            sample = ar.SeriesSample(values=column)
-            try:
-                theta_hat = ar.mle_ar(model, sample)
-                path = ar.score_path_ar(model, sample, theta_hat)
-                block.statistics[j] = delta_stat(path, config.kind)
-                block.theta_hat[j] = theta_hat
-            except (NumericalError, ModelError):
-                continue
-        return block
-
-    return block_fn
-
-
-def _prepare_oracle(config: ExperimentConfig):
-    """Calibration hook: draw the limit statistic itself, one path per replicate."""
-    m = int(config.sim_params.get("m", 1000))
-
-    def block_fn(start: int, stop: int) -> ReplicateBlock:
-        block = _empty_block(stop - start)
-        for j, stream in enumerate(_replicate_streams(config, start, stop)):
-            if config.kind == "ks":
-                block.statistics[j] = limit_laws.bridge_sup_samples(1, m, stream)[0]
-            else:
-                path = limit_laws.simulate_bridge(m, stream)
-                block.statistics[j] = limit_laws.bridge_functional(path, "cvm")
-        return block
-
-    return block_fn
-
-
-_FAMILY_PREPARERS = {
-    "small-noise": _prepare_small_noise,
-    "ergodic": _prepare_ergodic,
-    "poisson": _prepare_poisson,
-    "ar": _prepare_ar,
-    "oracle": _prepare_oracle,
-}
 
 
 @cache
@@ -405,9 +289,7 @@ def _run_blocks(block_fn, blocks: list, threads: int) -> tuple[list, str]:
 
 
 def _execute(config: ExperimentConfig) -> ExperimentReport:
-    if config.family not in _FAMILY_PREPARERS:
-        raise ConfigError(f"unknown family {config.family!r}")
-    block_fn = _FAMILY_PREPARERS[config.family](config)
+    block_fn = _prepare(config)
     t_start = time.perf_counter()
 
     m_total = config.replicates

@@ -25,8 +25,7 @@ from .inference_kit import (
     maximize_1d,
     simpson_array,
 )
-from .limit_laws import CriticalValue, default_critical_value
-from .score import ScorePath, TestOutcome, delta_stat
+from .score import ScorePath, TestOutcome, decide
 
 _T_GRID_NODES = 4097
 _RATE_SCAN_NODES = 2048
@@ -295,8 +294,6 @@ def run_test_poisson(
     alpha: float,
     kind: str = "cvm",
     N: int | None = None,
-    critical: CriticalValue | None = None,
-    tol: float = 1e-6,
 ) -> TestOutcome:
     """Estimate, build the score path over the held-out periods, and test.
 
@@ -305,27 +302,14 @@ def run_test_poisson(
     """
     if N is None:
         N = int(math.isqrt(events.n))
-    theta_hat = mle_poisson(model, events, tol=tol)
+    theta_hat = mle_poisson(model, events)
     if isinstance(model, LinearPoissonModel) and model.profile is not None:
         theta_bar = model.theta_domain.clip(mde_linear_intensity(model, events, N=N))
     else:
         head = PeriodicEvents(period=events.period, times=events.times[:N])
-        theta_bar = mle_poisson(model, head, tol=tol)
+        theta_bar = mle_poisson(model, head)
     path = score_path_poisson(model, events, theta_bar, theta_hat, N=N)
-    stat = delta_stat(path, kind)
-    crit = critical if critical is not None else default_critical_value(alpha, kind)
-    boundary_tol = 1e-3 * model.theta_domain.width
-    return TestOutcome(
-        statistic=stat,
-        critical=crit,
-        alpha=alpha,
-        reject=stat > crit.value,
-        kind=kind,
-        approach="split",
-        theta_hat=theta_hat,
-        theta_bar=theta_bar,
-        diagnostics={"mle_boundary": model.theta_domain.near_boundary(theta_hat, boundary_tol)},
-    )
+    return decide(path, alpha, kind, "split", model.theta_domain, theta_hat, theta_bar)
 
 
 def events_from_rows(period: float, n: int, rows: np.ndarray) -> PeriodicEvents:
@@ -355,6 +339,8 @@ def sin_profile(period: float, amplitude: float = 0.5) -> Callable:
 
 def step_bump_intensity(model: LinearPoissonModel, theta0: float, bump: float = 0.5) -> Callable:
     """Family intensity at theta0 plus a late-half step, outside the family."""
+    if not isinstance(model, LinearPoissonModel):
+        raise ConfigError("step-bump alternative needs the linear-intensity family")
     half = 0.5 * model.period
 
     def lam_alt(t):

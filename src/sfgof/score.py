@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .limit_laws import CriticalValue
+from .inference_kit import ParamInterval
+from .limit_laws import CriticalValue, default_critical_value
 
 
 @dataclass(frozen=True)
@@ -84,3 +85,33 @@ class TestOutcome:
     def __post_init__(self):
         if self.reject != (self.statistic > self.critical.value):
             raise ConfigError("reject flag must equal statistic > critical value")
+
+
+def decide(
+    path: ScorePath,
+    alpha: float,
+    kind: str,
+    approach: str,
+    domain: ParamInterval,
+    theta_hat: float,
+    theta_bar: float | None = None,
+    **diagnostics,
+) -> TestOutcome:
+    """The test at level alpha on a score path, against the exact critical value.
+
+    The outcome's diagnostics start with mle_boundary (theta_hat within a
+    thousandth of the interval's width of an end), then the given ones.
+    """
+    stat = delta_stat(path, kind)
+    crit = default_critical_value(alpha, kind)
+    return TestOutcome(
+        statistic=stat,
+        critical=crit,
+        alpha=alpha,
+        reject=stat > crit.value,
+        kind=kind,
+        approach=approach,
+        theta_hat=theta_hat,
+        theta_bar=theta_bar,
+        diagnostics={"mle_boundary": domain.near_boundary(theta_hat, 1e-3 * domain.width), **diagnostics},
+    )

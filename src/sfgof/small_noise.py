@@ -29,8 +29,7 @@ from .inference_kit import (
     ode_solve,
     simpson_array,
 )
-from .limit_laws import CriticalValue, default_critical_value
-from .score import ScorePath, TestOutcome, delta_stat
+from .score import ScorePath, TestOutcome, decide
 
 DEFAULT_NUM_STEPS = 10_000
 _THETA_TABLE_NODES = 129
@@ -92,6 +91,8 @@ def simulate_sde_batch(
     single-stream simulation with the same stream.  Non-finite columns are
     returned as-is for the caller to exclude.
     """
+    if not 0.0 <= epsilon <= 1.0:
+        raise ConfigError(f"epsilon must lie in [0, 1], got {epsilon}")
     n = grid.num_steps
     h = grid.h
     ts = grid.points()
@@ -119,9 +120,12 @@ def simulate_sde(
     rng: RngStream,
 ) -> Trajectory:
     """Euler path of the model SDE; epsilon = 0 reproduces the drift ODE flow."""
-    if not 0.0 <= epsilon <= 1.0:
-        raise ConfigError(f"epsilon must lie in [0, 1], got {epsilon}")
-    values = simulate_sde_batch(model, theta0, epsilon, grid, [rng])[:, 0]
+    return trajectory_at(simulate_sde_batch(model, theta0, epsilon, grid, [rng]), grid, epsilon, 0)
+
+
+def trajectory_at(paths: np.ndarray, grid: TimeGrid, epsilon: float, j: int) -> Trajectory:
+    """Column j of `simulate_sde_batch` paths; NumericalError if it is not finite."""
+    values = paths[:, j]
     if not np.all(np.isfinite(values)):
         bad = int(np.flatnonzero(~np.isfinite(values))[0])
         raise NumericalError(f"simulated state became non-finite at t={grid.points()[bad]!r}")
@@ -442,40 +446,20 @@ def run_test_small_noise(
     alpha: float,
     approach: str = "split",
     kind: str = "cvm",
-    critical: CriticalValue | None = None,
-    nu_epsilon: float | None = None,
-    tol: float = 1e-6,
 ) -> TestOutcome:
     """Estimate, build the score path, and test at level alpha."""
-    theta_hat = mle_small_noise(model, traj, tol=tol)
+    theta_hat = mle_small_noise(model, traj)
     theta_bar: float | None = None
     if approach == "split":
-        theta_bar = mde_preliminary(model, traj, nu_epsilon=nu_epsilon)
-        path = score_path_split(model, traj, theta_bar, theta_hat, nu_epsilon=nu_epsilon)
+        theta_bar = mde_preliminary(model, traj)
+        path = score_path_split(model, traj, theta_bar, theta_hat)
     elif approach == "ito":
         path = score_path_ito(model, traj, theta_hat)
     else:
-        raise ConfigError(f"unknown approach {approach!r}")
-    stat = delta_stat(path, kind)
-    crit = critical if critical is not None else default_critical_value(alpha, kind)
-    boundary_tol = 1e-3 * model.theta_domain.width
-    diagnostics = {
-        "mle_boundary": model.theta_domain.near_boundary(theta_hat, boundary_tol),
-        "mde_boundary": (
-            model.theta_domain.near_boundary(theta_bar, boundary_tol) if theta_bar is not None else False
-        ),
-    }
-    return TestOutcome(
-        statistic=stat,
-        critical=crit,
-        alpha=alpha,
-        reject=stat > crit.value,
-        kind=kind,
-        approach=approach,
-        theta_hat=theta_hat,
-        theta_bar=theta_bar,
-        diagnostics=diagnostics,
-    )
+        raise ConfigError(f"unknown small-noise approach {approach!r}")
+    domain = model.theta_domain
+    mde_boundary = theta_bar is not None and domain.near_boundary(theta_bar, 1e-3 * domain.width)
+    return decide(path, alpha, kind, approach, domain, theta_hat, theta_bar, mde_boundary=mde_boundary)
 
 
 # Built-in model families and shipped alternatives.

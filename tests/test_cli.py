@@ -1,11 +1,22 @@
 import json
 
 import numpy as np
+import pytest
 
+from sfgof import harness
 from sfgof.cli import main
 from sfgof.inference_kit import RngStream
 from sfgof.limit_laws import default_critical_value
 from sfgof.poisson import linear_intensity_model, simulate_periodic_poisson, sin_profile
+
+# One small null setting per family: family, model section, knob key, knob value, simulation settings.
+SMALL_SETTINGS = [
+    ("small-noise", {"name": "linear", "theta0": 0.5}, "epsilon", 0.05, {"num_steps": 2000}),
+    ("ergodic", {"name": "ou", "theta0": 1.0}, "T", 50.0, {"step": 0.01}),
+    ("poisson", {"name": "linear-h", "theta0": 2.0}, "n", 60, {}),
+    ("ar", {"name": "linear-gaussian", "theta0": 0.5}, "n", 200, {}),
+]
+SETTING_IDS = [setting[0] for setting in SMALL_SETTINGS]
 
 
 def write_config(tmp_path, name, payload):
@@ -204,3 +215,47 @@ class TestExperiments:
         assert cfg["model"]["name"] == "gated-linear"
         assert cfg["alternative"] == "gated-early"
         assert cfg["approach"] == "ito"
+
+
+class TestMissingKeys:
+    """A config without a required key ends in `error: ...` naming the key, and exit code 2."""
+
+    @pytest.mark.parametrize("key", ["family", "knob", "knob_value", "replicates"])
+    def test_study_config(self, tmp_path, capsys, key):
+        payload = {
+            "family": "ar",
+            "knob": "n",
+            "knob_value": 200,
+            "replicates": 100,
+            "model": {"name": "linear-gaussian", "theta0": 0.5},
+        }
+        del payload[key]
+        cfg = write_config(tmp_path, "size.json", payload)
+        assert main(["size", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(key) in err
+
+    @pytest.mark.parametrize("family, model, knob, value, sim", SMALL_SETTINGS, ids=SETTING_IDS)
+    def test_test_config_without_knob(self, tmp_path, capsys, family, model, knob, value, sim):
+        cfg = write_config(tmp_path, "test.json", {"model": model, **sim})
+        assert main(["test", family, "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(knob) in err
+
+
+class TestCrossPath:
+    """`sfgof test --seed s` tests replicate 0 of the study at master seed s."""
+
+    @pytest.mark.parametrize("family, model, knob, value, sim", SMALL_SETTINGS, ids=SETTING_IDS)
+    def test_test_prints_study_replicate_zero(self, tmp_path, capsys, family, model, knob, value, sim):
+        seed = 3
+        study = harness.ExperimentConfig(
+            family=family, knob=knob, knob_value=value, replicates=100, model_params=model, sim_params=sim,
+            master_seed=seed,
+        )
+        block = harness._prepare(study)(0, 4)  # a block of four, as studies draw them
+        cfg = write_config(tmp_path, "test.json", {"model": model, knob: value, **sim})
+        assert main(["test", family, "--config", cfg, "--seed", str(seed)]) == 0
+        fields = capsys.readouterr().out.splitlines()[1].split(",")
+        theta_bar = "" if np.isnan(block.theta_bar[0]) else f"{block.theta_bar[0]:.10g}"
+        assert fields[4:7] == [f"{block.theta_hat[0]:.10g}", theta_bar, f"{block.statistics[0]:.10g}"]

@@ -1,11 +1,12 @@
 import dataclasses
 import gc
 import multiprocessing
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from sfgof import ar, catalog, ergodic, small_noise
+from sfgof import ar, catalog, ergodic, limit_laws, small_noise
 from sfgof.errors import ConfigError
 from sfgof.harness import (
     ExperimentConfig,
@@ -61,6 +62,34 @@ def ergodic_config(**overrides) -> ExperimentConfig:
     return quick_config(family="ergodic", **base)
 
 
+def _oracle_test(model, stream, alpha, approach, kind, sim):
+    m = int(sim.get("m", 1000))
+    if kind == "ks":
+        statistic = limit_laws.bridge_sup_samples(1, m, stream)[0]
+    else:
+        statistic = limit_laws.bridge_functional(limit_laws.simulate_bridge(m, stream), "cvm")
+    return SimpleNamespace(statistic=statistic, theta_hat=np.nan, theta_bar=None)
+
+
+@pytest.fixture
+def oracle_family(monkeypatch):
+    """Registers family "oracle", whose replicate statistic is the limit statistic itself, one path each.
+
+    It checks the harness's own calibration.
+    """
+    oracle = catalog.Family(
+        knob="none",
+        parse_knob=float,
+        theta0=0.0,
+        build=lambda params: None,
+        alternative=None,
+        draw=lambda model, alt, theta0, knob, sim, streams: streams,
+        sample=lambda streams, j: streams[j],
+        test=_oracle_test,
+    )
+    monkeypatch.setitem(catalog.FAMILIES, "oracle", oracle)
+
+
 class TestWilson:
     def test_basic_interval(self):
         lo, hi = wilson_interval(5, 100)
@@ -76,6 +105,7 @@ class TestWilson:
         with pytest.raises(ConfigError):
             wilson_interval(0, 0)
 
+    @pytest.mark.usefixtures("oracle_family")
     def test_calibration_coverage(self):
         # Oracle-injection harness runs: the Wilson interval should cover
         # the nominal level in at least 93 of 100 runs.
@@ -97,6 +127,7 @@ class TestWilson:
 
 
 class TestOracleInjection:
+    @pytest.mark.usefixtures("oracle_family")
     def test_rate_matches_level(self):
         cfg = ExperimentConfig(
             family="oracle",
