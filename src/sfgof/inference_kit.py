@@ -269,13 +269,20 @@ def cumulative_simpson(values: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def ode_solve(rhs: Callable[[float, float], float], x0: float, grid: TimeGrid) -> np.ndarray:
-    """Classical 4th-order Runge-Kutta on a uniform grid; first value is x0."""
+def ode_solve(rhs: Callable, x0: float | np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Classical 4th-order Runge-Kutta on a uniform grid; first value is x0.
+
+    x0 may also be an array of independent states, advanced together in one
+    loop: rhs then takes and returns arrays of x0's shape, and row i of the
+    result holds the states at grid point i.  Each component goes through
+    the same floating-point operations as a scalar solve, so it matches one
+    bit for bit; the solve stops as soon as any component is non-finite.
+    """
     ts = grid.points()
     h = grid.h
-    out = np.empty(ts.size)
+    out = np.empty((ts.size,) + np.shape(x0))
     out[0] = x0
-    x = float(x0)
+    x = float(x0) if out.ndim == 1 else out[0].copy()
     half = 0.5 * h
     for i in range(ts.size - 1):
         t = ts[i]
@@ -284,7 +291,7 @@ def ode_solve(rhs: Callable[[float, float], float], x0: float, grid: TimeGrid) -
         k3 = rhs(t + half, x + half * k2)
         k4 = rhs(t + h, x + h * k3)
         x = x + h * (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-        if not np.isfinite(x):
+        if not np.all(np.isfinite(x)):
             raise NumericalError(f"ODE state became non-finite at t={ts[i + 1]!r}")
         out[i + 1] = x
     return out

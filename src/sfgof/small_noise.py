@@ -41,11 +41,13 @@ _MDE_MAX_CELLS = 64
 class SmallNoiseModel:
     """Drift family S(theta, t, x) with known diffusion coefficient.
 
-    Callables must broadcast over numpy arrays in x (and t).  The optional
-    drift_dtheta_dx derivative marks the model as eligible for the
-    antiderivative score construction; time_varying signals that the score
-    weight depends on t, which switches that construction to per-time
-    antiderivative tables.
+    Callables must broadcast over numpy arrays in x (and t).  The drift may
+    also be called with a theta array shaped like x, when drift_flow solves
+    the flows of many theta at once; a drift that cannot take one is solved
+    theta by theta.  The optional drift_dtheta_dx derivative marks the
+    model as eligible for the antiderivative score construction;
+    time_varying signals that the score weight depends on t, which switches
+    that construction to per-time antiderivative tables.
     """
 
     name: str
@@ -132,15 +134,34 @@ def trajectory_at(paths: np.ndarray, grid: TimeGrid, epsilon: float, j: int) -> 
     return Trajectory(grid, values, epsilon)
 
 
-def drift_flow(model: SmallNoiseModel, theta: float, grid: TimeGrid) -> np.ndarray:
-    """Deterministic solution x_t(theta) of the noise-free drift equation."""
-    return ode_solve(lambda t, x: float(model.drift(theta, t, x)), model.x0, grid)
+def drift_flow(model: SmallNoiseModel, theta: float | np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Deterministic solution x_t(theta) of the noise-free drift equation.
+
+    For a 1-D array of theta the flows are solved together in one RK4 loop,
+    with the drift called on the theta array, and come back as one row per
+    theta.  Each row equals the scalar solve bit for bit.  A drift that
+    rejects a theta array, or answers it with the wrong shape, is solved
+    theta by theta instead.
+    """
+    if np.ndim(theta) == 0:
+        return ode_solve(lambda t, x: float(model.drift(theta, t, x)), model.x0, grid)
+    thetas = np.asarray(theta, dtype=float)
+
+    def rhs(t, x):
+        dx = np.asarray(model.drift(thetas, t, x), dtype=float)
+        if dx.shape != thetas.shape:
+            raise ValueError(f"drift returned shape {dx.shape} for {thetas.size} theta values")
+        return dx
+
+    try:
+        flows = ode_solve(rhs, np.full(thetas.shape, float(model.x0)), grid)
+    except (TypeError, ValueError):
+        return np.array([drift_flow(model, th, grid) for th in thetas])
+    return np.ascontiguousarray(flows.T)
 
 
-def fisher_small_noise(model: SmallNoiseModel, theta: float, num_steps: int = 1024) -> float:
-    """Information integral of the drift sensitivity along the noise-free flow."""
-    grid = TimeGrid(0.0, model.horizon, num_steps)
-    xs = drift_flow(model, theta, grid)
+def _flow_information(model: SmallNoiseModel, theta: float, grid: TimeGrid, xs: np.ndarray) -> float:
+    """Simpson integral of (dS/dtheta / sigma)^2 along the flow xs of theta on grid."""
     ts = grid.points()
     w = (np.asarray(model.drift_dtheta(theta, ts, xs), dtype=float) / np.asarray(model.diffusion(ts, xs), dtype=float)) ** 2
     info = simpson_array(w, grid.h)
@@ -149,21 +170,40 @@ def fisher_small_noise(model: SmallNoiseModel, theta: float, num_steps: int = 10
     return info
 
 
+def fisher_small_noise(model: SmallNoiseModel, theta: float, num_steps: int = 1024) -> float:
+    """Information integral of the drift sensitivity along the noise-free flow."""
+    grid = TimeGrid(0.0, model.horizon, num_steps)
+    return _flow_information(model, theta, grid, drift_flow(model, theta, grid))
+
+
 # Per-model interpolation tables for quantities that are smooth in theta.
 # They avoid re-solving the drift ODE inside every Monte Carlo replicate;
 # agreement with the exact operations is covered by tests.  Both are weakly
 # keyed on the model, so its tables go when the model does; window tables
-# hold one inner entry per (k_win, h).
+# hold one inner entry per (k_win, h).  Each table solves the flows of all
+# its theta nodes in one drift_flow call.
 _FISHER_TABLES: weakref.WeakKeyDictionary[SmallNoiseModel, tuple[np.ndarray, np.ndarray]] = weakref.WeakKeyDictionary()
 _WINDOW_TABLES: weakref.WeakKeyDictionary[SmallNoiseModel, dict[tuple[int, float], tuple]] = weakref.WeakKeyDictionary()
+
+
+def _table_nodes(model: SmallNoiseModel) -> np.ndarray:
+    """Theta nodes of both tables: an even grid on the parameter interval.
+
+    It holds _THETA_TABLE_NODES interior points and both ends, so that
+    interpolation never clamps inside the interval and the minimum-distance
+    objective keeps its slope up to either end.
+    """
+    dom = model.theta_domain
+    return np.linspace(dom.lower, dom.upper, _THETA_TABLE_NODES + 2)
 
 
 def _fisher_cached(model: SmallNoiseModel, theta: float) -> float:
     entry = _FISHER_TABLES.get(model)
     if entry is None:
-        dom = model.theta_domain
-        thetas = np.linspace(dom.lower, dom.upper, _THETA_TABLE_NODES + 2)[1:-1]
-        values = np.array([fisher_small_noise(model, t, num_steps=512) for t in thetas])
+        thetas = _table_nodes(model)
+        grid = TimeGrid(0.0, model.horizon, 512)
+        flows = drift_flow(model, thetas, grid)
+        values = np.array([_flow_information(model, th, grid, xs) for th, xs in zip(thetas, flows)])
         entry = (thetas, values)
         _FISHER_TABLES[model] = entry
     thetas, values = entry
@@ -180,12 +220,8 @@ def _window_table(model: SmallNoiseModel, k_win: int, h: float) -> tuple[np.ndar
     idx = np.arange(0, k_win + 1, stride)
     if idx[-1] != k_win:
         idx = np.append(idx, k_win)
-    dom = model.theta_domain
-    thetas = np.linspace(dom.lower, dom.upper, _THETA_TABLE_NODES + 2)[1:-1]
-    sub_grid = TimeGrid(0.0, k_win * h, k_win)
-    flows = np.empty((thetas.size, idx.size))
-    for i, theta in enumerate(thetas):
-        flows[i] = drift_flow(model, theta, sub_grid)[idx]
+    thetas = _table_nodes(model)
+    flows = drift_flow(model, thetas, TimeGrid(0.0, k_win * h, k_win))[:, idx]
     entry = (thetas, idx, flows)
     tables[(k_win, h)] = entry
     return entry
@@ -242,6 +278,11 @@ def mde_preliminary(
     the noise-free flow x_t(theta); flows are interpolated from a dense
     theta table of window ODE solutions.
     """
+    return maximize_1d(_mde_neg_distance(model, traj, nu_epsilon), model.theta_domain, tol=tol)
+
+
+def _mde_neg_distance(model: SmallNoiseModel, traj: Trajectory, nu_epsilon: float | None) -> Callable:
+    """Minus the window distance that mde_preliminary minimizes, as a function of theta."""
     if nu_epsilon is None:
         nu_epsilon = default_mde_window(traj)
     h = traj.grid.h
@@ -267,7 +308,7 @@ def mde_preliminary(
         resid2 = (x_obs - flow) ** 2
         return -np.sum(0.5 * dt * (resid2[..., 1:] + resid2[..., :-1]), axis=-1)
 
-    return maximize_1d(neg_distance, model.theta_domain, tol=tol)
+    return neg_distance
 
 
 def _window_start_index(traj: Trajectory, nu_epsilon: float) -> int:

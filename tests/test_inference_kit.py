@@ -217,6 +217,21 @@ class TestOdeSolve:
         with pytest.raises(NumericalError):
             ode_solve(lambda t, x: x * x, 2.0, grid)
 
+    def test_vector_state_columns_equal_scalar_solves(self):
+        grid = TimeGrid(0.0, 1.0, 300)
+        rates = np.array([0.3, -1.0, 2.0])
+        path = ode_solve(lambda t, x: rates * x + math.cos(3.0 * t), np.ones(3), grid)
+        assert path.shape == (grid.num_steps + 1, 3)
+        for k, rate in enumerate(rates):
+            assert np.array_equal(path[:, k], ode_solve(lambda t, x: rate * x + math.cos(3.0 * t), 1.0, grid))
+
+    def test_vector_state_blow_up_reported(self):
+        # Only the second component diverges; the whole solve stops there.
+        grid = TimeGrid(0.0, 5.0, 200)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NumericalError, match=r"ODE state became non-finite at t="):
+                ode_solve(lambda t, x: np.array([0.0, 1.0]) * x * x, np.array([2.0, 2.0]), grid)
+
 
 class TestRngStream:
     def test_bit_identical_reproduction(self):

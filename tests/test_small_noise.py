@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,12 @@ from sfgof.small_noise import (
     simulate_sde_batch,
     sin_perturbed_drift,
     with_alternative_drift,
+    _FISHER_TABLES,
     _fisher_cached,
+    _flow_information,
+    _mde_neg_distance,
+    _table_nodes,
+    _window_table,
 )
 
 THETA0 = 0.5
@@ -150,6 +156,52 @@ class TestFisher:
             )
 
 
+def scalar_theta_model() -> SmallNoiseModel:
+    """The linear model behind a plug-in drift that accepts only a scalar theta."""
+    return replace(linear_model(), name="scalar-theta", drift=lambda theta, t, x: float(theta) * np.asarray(x, dtype=float))
+
+
+def outer_theta_model() -> SmallNoiseModel:
+    """The linear model behind a plug-in drift that answers a theta array with the wrong shape."""
+    return replace(linear_model(), name="outer-theta", drift=lambda theta, t, x: np.multiply.outer(theta, np.asarray(x, dtype=float)))
+
+
+@pytest.mark.parametrize(
+    "build",
+    [linear_model, gated_linear_model, scalar_theta_model, outer_theta_model],
+    ids=["linear", "gated-linear", "scalar-only-plugin", "wrong-shape-plugin"],
+)
+def test_theta_tables_equal_scalar_solves(build):
+    # The tables' grids: 512 steps over the horizon for the Fisher table, and
+    # the default 5% window of a 10 000-step path for the window table.
+    model = build()
+    thetas = _table_nodes(model)
+    fisher_grid = TimeGrid(0.0, model.horizon, 512)
+    window_grid = TimeGrid(0.0, 500 * 1e-4, 500)
+    scalar = {grid: np.array([drift_flow(model, theta, grid) for theta in thetas]) for grid in (fisher_grid, window_grid)}
+    for grid, flows in scalar.items():
+        assert np.array_equal(drift_flow(model, thetas, grid), flows)
+    _fisher_cached(model, 0.5)
+    fisher = [_flow_information(model, theta, fisher_grid, xs) for theta, xs in zip(thetas, scalar[fisher_grid])]
+    assert np.array_equal(_FISHER_TABLES[model][1], fisher)
+    _, idx, window_flows = _window_table(model, 500, 1e-4)
+    assert np.array_equal(window_flows, scalar[window_grid][:, idx])
+
+
+@pytest.mark.parametrize("build", [scalar_theta_model, outer_theta_model], ids=["scalar-only", "wrong-shape"])
+def test_plugin_drift_without_theta_arrays_runs_the_linear_test(build, coarse_grid):
+    # The drift equals the linear one, so the whole test must come out the same.
+    traj = simulate_sde(linear_model(), THETA0, 0.05, coarse_grid, RngStream(25, 0))
+    out = run_test_small_noise(build(), traj, 0.05)
+    ref = run_test_small_noise(linear_model(), traj, 0.05)
+    assert (out.statistic, out.theta_hat, out.theta_bar, out.reject) == (
+        ref.statistic,
+        ref.theta_hat,
+        ref.theta_bar,
+        ref.reject,
+    )
+
+
 class TestMle:
     def test_matches_linear_closed_form(self, model, traj):
         theta = mle_small_noise(model, traj)
@@ -196,6 +248,16 @@ class TestMde:
                 errors.append(abs(mde_preliminary(model, t) - THETA0))
             medians.append(np.median(errors))
         assert medians[0] > medians[1] > medians[2]
+
+    def test_distance_strictly_monotone_next_to_each_end(self, model):
+        # The fit to a flow at theta = 0.5 must still tell thetas apart within
+        # 0.005 of either end, inside the outermost cells of the flow table.
+        grid = default_grid(model)
+        flow = simulate_sde(model, THETA0, 0.0, grid, RngStream(10, 0))
+        neg_distance = _mde_neg_distance(model, flow, None)
+        dom = model.theta_domain
+        assert np.all(np.diff(neg_distance(np.linspace(dom.lower, dom.lower + 0.005, 16))) > 0.0)
+        assert np.all(np.diff(neg_distance(np.linspace(dom.upper - 0.005, dom.upper, 16))) < 0.0)
 
     def test_window_too_small(self, model):
         grid = TimeGrid(0.0, 1.0, 100)
