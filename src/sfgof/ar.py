@@ -10,8 +10,8 @@ empirical time change.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -90,10 +90,11 @@ class StationaryDensity:
         return float(self.x[1] - self.x[0])
 
 
-# Weakly keyed: the densities of a model go when the model does.
-_DENSITY_CACHE: weakref.WeakKeyDictionary[ARModel, dict[tuple[float, int], StationaryDensity]] = (
-    weakref.WeakKeyDictionary()
-)
+# Fixed-point densities are kept in a bounded LRU cache, which holds its
+# models alive until they are evicted.  256 entries keep the 64 grid points
+# that maximize_1d evaluates in every fit, next to the Brent steps of the
+# last few fits.
+_DENSITY_CACHE_SIZE = 256
 
 
 def _fixed_point_density(model: ARModel, theta: float, lo: float, hi: float, n_nodes: int) -> np.ndarray:
@@ -125,15 +126,21 @@ def stationary_density(model: ARModel, theta: float, n_nodes: int = _X_NODES) ->
     """Stationary law on a grid wide enough that tail mass is below 1e-8.
 
     Uses the closed form when the model supplies one, the transition-kernel
-    fixed point otherwise; fixed-point solutions are cached per theta and
-    grid size for as long as the model lives.
+    fixed point otherwise; fixed-point solutions are cached per model, theta
+    and grid size (see _DENSITY_CACHE_SIZE).
     """
-    numeric = model.invariant_logpdf is None
-    key = (round(float(theta), 14), n_nodes)
-    if numeric:
-        cached = _DENSITY_CACHE.get(model, {}).get(key)
-        if cached is not None:
-            return cached
+    if model.invariant_logpdf is None:
+        return _fixed_point_stationary_density(model, float(theta), n_nodes)
+    return _concentrated_density(model, theta, n_nodes)
+
+
+@lru_cache(maxsize=_DENSITY_CACHE_SIZE)
+def _fixed_point_stationary_density(model: ARModel, theta: float, n_nodes: int) -> StationaryDensity:
+    return _concentrated_density(model, theta, n_nodes)
+
+
+def _concentrated_density(model: ARModel, theta: float, n_nodes: int) -> StationaryDensity:
+    """The stationary density, on a grid widened from [x_lo, x_hi] until its tails are negligible."""
     lo, hi = float(model.x_lo), float(model.x_hi)
     for _ in range(_MAX_EXTENSIONS):
         xg = np.linspace(lo, hi, n_nodes)
@@ -148,8 +155,6 @@ def stationary_density(model: ARModel, theta: float, n_nodes: int = _X_NODES) ->
         if edge < _TAIL_MASS:
             dens = StationaryDensity(x=xg, f=f)
             _check_tails(dens)
-            if numeric:
-                _DENSITY_CACHE.setdefault(model, {})[key] = dens
             return dens
         span = hi - lo
         lo -= 0.5 * span

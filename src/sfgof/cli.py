@@ -39,8 +39,11 @@ def _cmd_crit(args) -> int:
 
 
 def _cmd_test(args) -> int:
-    cfg = catalog.read_config(args.config)
     family = catalog.FAMILIES[args.family]
+    for flag in ("events", "data"):  # each is read only by the family that names it as data_flag
+        if getattr(args, flag) is not None and flag != family.data_flag:
+            raise ConfigError(f"--{flag} does not apply to the {args.family} family")
+    cfg = catalog.read_config(args.config)
     model_cfg = dict(cfg.get("model", {}))
     model = family.build(model_cfg)
     recorded = getattr(args, family.data_flag) if family.data_flag else None

@@ -14,8 +14,8 @@ can be rewritten through an antiderivative.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, replace
+from functools import cache, lru_cache
 from typing import Callable
 
 import numpy as np
@@ -138,29 +138,25 @@ def fisher_ergodic(model: ErgodicModel, theta: float) -> float:
     return info
 
 
-# Weakly keyed: the tables of a model go when the model does.
-_THETA_TABLES: weakref.WeakKeyDictionary[ErgodicModel, tuple[np.ndarray, np.ndarray, np.ndarray]] = (
-    weakref.WeakKeyDictionary()
-)
+# Built once per model, in a bounded LRU cache that holds its models alive
+# until they are evicted.
+_TABLE_CACHE_SIZE = 8
 
 
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _theta_tables(model: ErgodicModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense-theta tables of the information and moment maps (smooth in theta)."""
-    entry = _THETA_TABLES.get(model)
-    if entry is None:
-        dom = model.theta_domain
-        thetas = np.linspace(dom.lower, dom.upper, _THETA_TABLE_NODES + 2)[1:-1]
-        infos = np.empty(thetas.size)
-        moments = np.empty(thetas.size)
-        for i, theta in enumerate(thetas):
-            dens = invariant_density(model, theta)
-            sens = np.asarray(model.drift_dtheta(theta, dens.x), dtype=float)
-            sig = np.asarray(model.diffusion(dens.x), dtype=float)
-            infos[i] = simpson_array((sens / sig) ** 2 * dens.f, dens.dx)
-            moments[i] = simpson_array(np.asarray(model.moment(dens.x), dtype=float) * dens.f, dens.dx)
-        entry = (thetas, infos, moments)
-        _THETA_TABLES[model] = entry
-    return entry
+    dom = model.theta_domain
+    thetas = np.linspace(dom.lower, dom.upper, _THETA_TABLE_NODES + 2)[1:-1]
+    infos = np.empty(thetas.size)
+    moments = np.empty(thetas.size)
+    for i, theta in enumerate(thetas):
+        dens = invariant_density(model, theta)
+        sens = np.asarray(model.drift_dtheta(theta, dens.x), dtype=float)
+        sig = np.asarray(model.diffusion(dens.x), dtype=float)
+        infos[i] = simpson_array((sens / sig) ** 2 * dens.f, dens.dx)
+        moments[i] = simpson_array(np.asarray(model.moment(dens.x), dtype=float) * dens.f, dens.dx)
+    return thetas, infos, moments
 
 
 def _fisher_cached(model: ErgodicModel, theta: float) -> float:
@@ -338,20 +334,15 @@ def score_path_x_split(
     return ScorePath(times=dens.x, values=values, time_change=tau, weight=weight)
 
 
-# Mollifier: normalized antiderivative of the standard compact bump on (-1, 1).
-_MOLLIFIER_TABLE: tuple[np.ndarray, np.ndarray, float] | None = None
-
-
+@cache
 def _mollifier() -> tuple[np.ndarray, np.ndarray, float]:
-    global _MOLLIFIER_TABLE
-    if _MOLLIFIER_TABLE is None:
-        u = np.linspace(-1.0, 1.0, 8193)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            bump = np.where(np.abs(u) < 1.0, np.exp(u**2 / (u**2 - 1.0)), 0.0)
-        cdf = cumulative_trapezoid(bump, u[1] - u[0])
-        norm = cdf[-1]
-        _MOLLIFIER_TABLE = (u, cdf / norm, float(norm))
-    return _MOLLIFIER_TABLE
+    """Grid, normalized antiderivative and mass of the standard compact bump on (-1, 1)."""
+    u = np.linspace(-1.0, 1.0, 8193)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        bump = np.where(np.abs(u) < 1.0, np.exp(u**2 / (u**2 - 1.0)), 0.0)
+    cdf = cumulative_trapezoid(bump, u[1] - u[0])
+    norm = cdf[-1]
+    return u, cdf / norm, float(norm)
 
 
 def mollifier_cdf(u: np.ndarray) -> np.ndarray:

@@ -76,6 +76,9 @@ class ExperimentConfig:
         family, knob, knob_value, replicates = (
             catalog.require(cfg, key, path) for key in ("family", "knob", "knob_value", "replicates")
         )
+        family_knob = catalog.family(family).knob
+        if knob != family_knob:
+            raise ConfigError(f"config {path} has knob {knob!r}, but the {family} family's knob is {family_knob!r}")
         return cls(
             family=family,
             knob=knob,

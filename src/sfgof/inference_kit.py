@@ -86,9 +86,6 @@ class RngStream:
         key = np.array([self.master_seed % 2**64, self.stream_id % 2**64], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
-    def child(self, stream_id: int) -> "RngStream":
-        return RngStream(self.master_seed, stream_id)
-
 
 def _eval_scalar(f: Callable[[float], float], x: float) -> float:
     v = float(f(x))

@@ -12,8 +12,8 @@ antiderivative construction that removes the stochastic integral entirely.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -178,12 +178,12 @@ def fisher_small_noise(model: SmallNoiseModel, theta: float, num_steps: int = 10
 
 # Per-model interpolation tables for quantities that are smooth in theta.
 # They avoid re-solving the drift ODE inside every Monte Carlo replicate;
-# agreement with the exact operations is covered by tests.  Both are weakly
-# keyed on the model, so its tables go when the model does; window tables
-# hold one inner entry per (k_win, h).  Each table solves the flows of all
+# agreement with the exact operations is covered by tests.  Each table is
+# built once per model (window tables once per model, k_win and h) and kept
+# in a bounded LRU cache of _TABLE_CACHE_SIZE entries, which holds its
+# models alive until they are evicted.  Each table solves the flows of all
 # its theta nodes in one drift_flow call.
-_FISHER_TABLES: weakref.WeakKeyDictionary[SmallNoiseModel, tuple[np.ndarray, np.ndarray]] = weakref.WeakKeyDictionary()
-_WINDOW_TABLES: weakref.WeakKeyDictionary[SmallNoiseModel, dict[tuple[int, float], tuple]] = weakref.WeakKeyDictionary()
+_TABLE_CACHE_SIZE = 8
 
 
 def _table_nodes(model: SmallNoiseModel) -> np.ndarray:
@@ -197,34 +197,30 @@ def _table_nodes(model: SmallNoiseModel) -> np.ndarray:
     return np.linspace(dom.lower, dom.upper, _THETA_TABLE_NODES + 2)
 
 
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _fisher_table(model: SmallNoiseModel) -> tuple[np.ndarray, np.ndarray]:
+    """Theta nodes and the information integral at each, on a 512-step grid."""
+    thetas = _table_nodes(model)
+    grid = TimeGrid(0.0, model.horizon, 512)
+    flows = drift_flow(model, thetas, grid)
+    return thetas, np.array([_flow_information(model, th, grid, xs) for th, xs in zip(thetas, flows)])
+
+
 def _fisher_cached(model: SmallNoiseModel, theta: float) -> float:
-    entry = _FISHER_TABLES.get(model)
-    if entry is None:
-        thetas = _table_nodes(model)
-        grid = TimeGrid(0.0, model.horizon, 512)
-        flows = drift_flow(model, thetas, grid)
-        values = np.array([_flow_information(model, th, grid, xs) for th, xs in zip(thetas, flows)])
-        entry = (thetas, values)
-        _FISHER_TABLES[model] = entry
-    thetas, values = entry
+    thetas, values = _fisher_table(model)
     return float(np.interp(theta, thetas, values))
 
 
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _window_table(model: SmallNoiseModel, k_win: int, h: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Noise-free window flows x_t(theta) tabulated on a dense theta grid."""
-    tables = _WINDOW_TABLES.setdefault(model, {})
-    entry = tables.get((k_win, h))
-    if entry is not None:
-        return entry
     stride = max(1, k_win // _MDE_MAX_CELLS)
     idx = np.arange(0, k_win + 1, stride)
     if idx[-1] != k_win:
         idx = np.append(idx, k_win)
     thetas = _table_nodes(model)
     flows = drift_flow(model, thetas, TimeGrid(0.0, k_win * h, k_win))[:, idx]
-    entry = (thetas, idx, flows)
-    tables[(k_win, h)] = entry
-    return entry
+    return thetas, idx, flows
 
 
 def _log_likelihood(model: SmallNoiseModel, traj: Trajectory) -> Callable[[float], float]:

@@ -155,6 +155,19 @@ class TestBoundaryErrors:
         assert main(["test", "ar", "--config", cfg]) == 2
         assert "theta0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "family, flag",
+        [("small-noise", "--events"), ("small-noise", "--data"), ("ergodic", "--events"), ("poisson", "--data"),
+         ("ar", "--events")],
+    )
+    def test_recorded_data_flag_of_another_family(self, tmp_path, capsys, family, flag):
+        model, knob, value, sim = next(setting[1:] for setting in SMALL_SETTINGS if setting[0] == family)
+        cfg = write_config(tmp_path, "test.json", {"model": model, knob: value, **sim})
+        assert main(["test", family, "--config", cfg, flag, str(tmp_path / "absent.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {flag} ") and family in captured.err
+        assert captured.out == ""
+
 
 class TestExperiments:
     def _size_config(self, tmp_path, replicates=100):
@@ -218,7 +231,7 @@ class TestExperiments:
 
 
 class TestMissingKeys:
-    """A config without a required key ends in `error: ...` naming the key, and exit code 2."""
+    """A config without a required key, or with another family's knob, ends in `error: ...` naming the key, and exit code 2."""
 
     @pytest.mark.parametrize("key", ["family", "knob", "knob_value", "replicates"])
     def test_study_config(self, tmp_path, capsys, key):
@@ -234,6 +247,16 @@ class TestMissingKeys:
         assert main(["size", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and repr(key) in err
+
+    @pytest.mark.parametrize("family, model, knob, value, sim", SMALL_SETTINGS, ids=SETTING_IDS)
+    def test_study_config_with_another_familys_knob(self, tmp_path, capsys, family, model, knob, value, sim):
+        wrong = "T" if knob != "T" else "n"
+        payload = {"family": family, "knob": wrong, "knob_value": value, "replicates": 100, "model": model, "sim": sim}
+        cfg = write_config(tmp_path, "size.json", payload)
+        assert main(["size", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and repr(wrong) in captured.err and repr(knob) in captured.err
+        assert captured.out == ""
 
     @pytest.mark.parametrize("family, model, knob, value, sim", SMALL_SETTINGS, ids=SETTING_IDS)
     def test_test_config_without_knob(self, tmp_path, capsys, family, model, knob, value, sim):

@@ -1,5 +1,4 @@
 import dataclasses
-import gc
 import multiprocessing
 from types import SimpleNamespace
 
@@ -254,44 +253,93 @@ class TestExclusions:
         assert "100" in report.csv_text().splitlines()[1].split(",")[-1]
 
 
-def _table_counts() -> tuple[int, int, int, int]:
-    return (
-        len(ergodic._THETA_TABLES),
-        len(small_noise._FISHER_TABLES),
-        len(small_noise._WINDOW_TABLES),
-        len(ar._DENSITY_CACHE),
+# The per-model table builders and the bound each cache keeps.
+TABLE_CACHES = {
+    "ergodic theta tables": (ergodic._theta_tables, ergodic._TABLE_CACHE_SIZE),
+    "small-noise Fisher table": (small_noise._fisher_table, small_noise._TABLE_CACHE_SIZE),
+    "small-noise window table": (small_noise._window_table, small_noise._TABLE_CACHE_SIZE),
+    "AR fixed-point density": (ar._fixed_point_stationary_density, ar._DENSITY_CACHE_SIZE),
+}
+
+
+def _table_misses() -> dict[str, int]:
+    return {name: cached.cache_info().misses for name, (cached, _) in TABLE_CACHES.items()}
+
+
+def numeric_ar_model():
+    """An AR model without a closed-form stationary law, so its densities are fixed points."""
+    model = catalog.ar_alternative(
+        catalog.build_ar_model({"name": "linear-gaussian"}), "cosine-perturbed", {"base_theta": 0.5, "amplitude": 0.3}
     )
+    assert model.invariant_logpdf is None
+    return model
 
 
 class TestTableCaches:
-    # Counts are compared with those before the test, so that tables of
-    # models which other tests still hold do not count.
-    def test_tables_freed_with_their_model(self):
-        before = _table_counts()
-        model = catalog.build_small_noise_model({"name": "linear"})
-        small_noise._fisher_cached(model, 0.5)
-        small_noise._window_table(model, 100, 0.01)
-        assert model in small_noise._FISHER_TABLES and model in small_noise._WINDOW_TABLES
-        # An AR model without a closed-form stationary law caches its fixed-point densities.
-        ar_model = catalog.ar_alternative(
-            catalog.build_ar_model({"name": "linear-gaussian"}),
-            "cosine-perturbed",
-            {"base_theta": 0.5, "amplitude": 0.3},
-        )
-        assert ar_model.invariant_logpdf is None
-        ar.stationary_density(ar_model, 0.5)
-        assert ar_model in ar._DENSITY_CACHE
-        assert ar.stationary_density(ar_model, 0.5, n_nodes=1025).x.size == 1025  # keyed on the grid size too
-        del model, ar_model
-        gc.collect()
-        assert _table_counts() == before
+    """Per-model tables are built once per model, and each cache stays at its fixed size.
 
-    def test_studies_leave_no_tables(self):
-        before = _table_counts()
-        for config in (quick_config(), quick_config(master_seed=6), ergodic_config(), ergodic_config()):
-            run_size(config)
-        gc.collect()
-        assert _table_counts() == before
+    Misses are compared with those before the test, so that tables other
+    tests built do not count.
+    """
+
+    def test_each_table_built_once_per_model(self):
+        before = _table_misses()
+        model = catalog.build_small_noise_model({"name": "linear"})
+        ergodic_model = catalog.build_ergodic_model({"name": "ou"})
+        ar_model = numeric_ar_model()
+        for theta in (0.5, 0.7, 0.5):
+            small_noise._fisher_cached(model, theta)
+            small_noise._window_table(model, 100, 0.01)
+            ergodic._fisher_cached(ergodic_model, 2.0 * theta)
+            density = ar.stationary_density(ar_model, 0.5)
+        assert ar.stationary_density(ar_model, 0.5) is density
+        assert ar.stationary_density(ar_model, 0.5, n_nodes=1025).x.size == 1025  # keyed on the grid size too
+        misses = _table_misses()
+        assert {name: misses[name] - before[name] for name in misses} == {
+            "ergodic theta tables": 1,
+            "small-noise Fisher table": 1,
+            "small-noise window table": 1,
+            "AR fixed-point density": 2,
+        }
+
+    def test_study_builds_each_table_once(self):
+        ar_power = ExperimentConfig(
+            family="ar",
+            knob="n",
+            knob_value=200,
+            replicates=100,
+            model_params={"name": "linear-gaussian", "theta0": 0.5},
+            alternative="cosine-perturbed",
+            alternative_params={"base_theta": 0.5, "amplitude": 0.3},
+            chunk_size=50,
+        )
+        before = _table_misses()
+        # Serial studies (threads=1) of several blocks each.
+        run_size(quick_config())
+        run_size(ergodic_config())
+        run_power(ar_power)
+        misses = _table_misses()
+        assert {name: misses[name] - before[name] for name in misses} == {
+            "ergodic theta tables": 1,
+            "small-noise Fisher table": 1,
+            "small-noise window table": 1,
+            # The null law has a closed form and the alternative starts from a burn-in draw.
+            "AR fixed-point density": 0,
+        }
+
+    def test_caches_stay_at_their_size(self):
+        for _ in range(small_noise._TABLE_CACHE_SIZE + 1):
+            model = catalog.build_small_noise_model({"name": "linear"})
+            small_noise._fisher_cached(model, 0.5)
+            small_noise._window_table(model, 100, 0.01)
+        for _ in range(ergodic._TABLE_CACHE_SIZE + 1):
+            ergodic._fisher_cached(catalog.build_ergodic_model({"name": "ou"}), 1.0)
+        ar_model = numeric_ar_model()
+        for theta in np.linspace(0.1, 0.8, ar._DENSITY_CACHE_SIZE + 1):
+            ar.stationary_density(ar_model, theta, n_nodes=129)
+        for name, (cached, size) in TABLE_CACHES.items():
+            info = cached.cache_info()
+            assert info.maxsize == size and info.currsize == size, name
 
 
 class TestReportOutput:

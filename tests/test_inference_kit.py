@@ -246,9 +246,6 @@ class TestRngStream:
         assert not np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_child(self):
-        assert RngStream(5).child(9) == RngStream(5, 9)
-
 
 class TestTwoSampleKs:
     def test_identical_samples(self):

@@ -27,8 +27,8 @@ from sfgof.small_noise import (
     simulate_sde_batch,
     sin_perturbed_drift,
     with_alternative_drift,
-    _FISHER_TABLES,
     _fisher_cached,
+    _fisher_table,
     _flow_information,
     _mde_neg_distance,
     _table_nodes,
@@ -181,9 +181,8 @@ def test_theta_tables_equal_scalar_solves(build):
     scalar = {grid: np.array([drift_flow(model, theta, grid) for theta in thetas]) for grid in (fisher_grid, window_grid)}
     for grid, flows in scalar.items():
         assert np.array_equal(drift_flow(model, thetas, grid), flows)
-    _fisher_cached(model, 0.5)
     fisher = [_flow_information(model, theta, fisher_grid, xs) for theta, xs in zip(thetas, scalar[fisher_grid])]
-    assert np.array_equal(_FISHER_TABLES[model][1], fisher)
+    assert np.array_equal(_fisher_table(model)[1], fisher)
     _, idx, window_flows = _window_table(model, 500, 1e-4)
     assert np.array_equal(window_flows, scalar[window_grid][:, idx])
 
