@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, ModelError, NumericalError
 from .inference_kit import (
+    GridDensity,
     ParamInterval,
     RngStream,
     cumulative_trapezoid,
@@ -78,18 +79,6 @@ class SeriesSample:
         return self.values.size - 1
 
 
-@dataclass(frozen=True)
-class StationaryDensity:
-    """Stationary density on a truncated state grid."""
-
-    x: np.ndarray
-    f: np.ndarray
-
-    @property
-    def dx(self) -> float:
-        return float(self.x[1] - self.x[0])
-
-
 # Fixed-point densities are kept in a bounded LRU cache, which holds its
 # models alive until they are evicted.  256 entries keep the 64 grid points
 # that maximize_1d evaluates in every fit, next to the Brent steps of the
@@ -122,7 +111,7 @@ def _fixed_point_density(model: ARModel, theta: float, lo: float, hi: float, n_n
     raise ModelError(f"stationary fixed point did not converge at theta={theta}")
 
 
-def stationary_density(model: ARModel, theta: float, n_nodes: int = _X_NODES) -> StationaryDensity:
+def stationary_density(model: ARModel, theta: float, n_nodes: int = _X_NODES) -> GridDensity:
     """Stationary law on a grid wide enough that tail mass is below 1e-8.
 
     Uses the closed form when the model supplies one, the transition-kernel
@@ -135,11 +124,11 @@ def stationary_density(model: ARModel, theta: float, n_nodes: int = _X_NODES) ->
 
 
 @lru_cache(maxsize=_DENSITY_CACHE_SIZE)
-def _fixed_point_stationary_density(model: ARModel, theta: float, n_nodes: int) -> StationaryDensity:
+def _fixed_point_stationary_density(model: ARModel, theta: float, n_nodes: int) -> GridDensity:
     return _concentrated_density(model, theta, n_nodes)
 
 
-def _concentrated_density(model: ARModel, theta: float, n_nodes: int) -> StationaryDensity:
+def _concentrated_density(model: ARModel, theta: float, n_nodes: int) -> GridDensity:
     """The stationary density, on a grid widened from [x_lo, x_hi] until its tails are negligible."""
     lo, hi = float(model.x_lo), float(model.x_hi)
     for _ in range(_MAX_EXTENSIONS):
@@ -153,7 +142,7 @@ def _concentrated_density(model: ARModel, theta: float, n_nodes: int) -> Station
             f = _fixed_point_density(model, theta, lo, hi, n_nodes)
         edge = max(f[0], f[-1]) * (hi - lo)
         if edge < _TAIL_MASS:
-            dens = StationaryDensity(x=xg, f=f)
+            dens = GridDensity(x=xg, f=f)
             _check_tails(dens)
             return dens
         span = hi - lo
@@ -162,7 +151,7 @@ def _concentrated_density(model: ARModel, theta: float, n_nodes: int) -> Station
     raise ModelError(f"stationary density does not concentrate at theta={theta}")
 
 
-def _check_tails(dens: StationaryDensity) -> None:
+def _check_tails(dens: GridDensity) -> None:
     """Numeric stand-in for the polynomial tail-decay requirement."""
     weighted = dens.f * (1.0 + dens.x**2)
     peak = weighted.max()
@@ -188,6 +177,9 @@ def simulate_ar_batch(model: ARModel, theta0: float, n: int, streams: list[RngSt
     """Batched stationary-start samples, one stream per column."""
     if n < 10:
         raise ConfigError(f"need n >= 10 observations, got {n}")
+    if model.stationary_sampler is None:
+        dens = stationary_density(model, theta0)
+        cdf = dens.cdf()
     ncol = len(streams)
     out = np.empty((n + 1, ncol))
     noise = np.empty((n, ncol))
@@ -196,9 +188,6 @@ def simulate_ar_batch(model: ARModel, theta0: float, n: int, streams: list[RngSt
         if model.stationary_sampler is not None:
             out[0, j] = model.stationary_sampler(theta0, gen)
         else:
-            dens = stationary_density(model, theta0)
-            cdf = cumulative_trapezoid(dens.f, dens.dx)
-            cdf /= cdf[-1]
             out[0, j] = np.interp(gen.uniform(), cdf, dens.x)
         noise[:, j] = model.noise_sampler(gen, n)
     x = out[0].copy()
@@ -295,15 +284,13 @@ def score_path_ar(model: ARModel, sample: SeriesSample, theta_hat: float) -> Sco
     tau = np.interp(times, dens.x, tau_raw / info_theta, left=0.0, right=1.0)
     tau[-1] = 1.0
     tau = np.maximum.accumulate(tau)
-    tau /= tau[-1]
-    weight = np.interp(times, dens.x, sens_grid**2 * dens.f / info_theta, left=0.0, right=0.0)
-    return ScorePath(times=times, values=values, time_change=tau, weight=weight, step_function=True)
+    return ScorePath(times=times, values=values, time_change=tau, step_function=True)
 
 
 def run_test_ar(model: ARModel, sample: SeriesSample, alpha: float, kind: str = "cvm") -> TestOutcome:
     """Fit the regression family, build the step score path, and test."""
     theta_hat = mle_ar(model, sample)
-    return decide(score_path_ar(model, sample, theta_hat), alpha, kind, "mle", model.theta_domain, theta_hat)
+    return decide(score_path_ar(model, sample, theta_hat), alpha, kind, "mle", theta_hat)
 
 
 def linear_gaussian_ar(

@@ -22,15 +22,17 @@ import numpy as np
 
 from .errors import ConfigError, ModelError, NumericalError
 from .inference_kit import (
+    GridDensity,
     ParamInterval,
     RngStream,
     TimeGrid,
     cumulative_simpson,
     cumulative_trapezoid,
+    diffusion_loglik,
     maximize_1d,
     simpson_array,
 )
-from .score import ScorePath, TestOutcome, decide
+from .score import ScorePath, TestOutcome, decide, time_change
 from .small_noise import Trajectory
 
 _X_NODES = 2049
@@ -67,24 +69,7 @@ class ErgodicModel:
                 )
 
 
-@dataclass(frozen=True)
-class InvariantDensity:
-    """Invariant density evaluated on a truncated state grid."""
-
-    x: np.ndarray
-    f: np.ndarray
-    normalizer: float
-
-    @property
-    def dx(self) -> float:
-        return float(self.x[1] - self.x[0])
-
-    def cdf(self) -> np.ndarray:
-        c = cumulative_trapezoid(self.f, self.dx)
-        return c / c[-1]
-
-
-def invariant_density(model: ErgodicModel, theta: float, n_nodes: int = _X_NODES) -> InvariantDensity:
+def invariant_density(model: ErgodicModel, theta: float, n_nodes: int = _X_NODES) -> GridDensity:
     """Invariant density exp(2 int S / sigma^2) / (G sigma^2) on the truncated grid.
 
     The inner integral is a cumulative Simpson rule anchored at 0 (or the
@@ -115,8 +100,7 @@ def invariant_density(model: ErgodicModel, theta: float, n_nodes: int = _X_NODES
         mass_lo = w[0] / max(slope_lo, 1e-12)
         mass_hi = w[-1] / max(-slope_hi, 1e-12)
         if slope_lo > 0.0 and slope_hi < 0.0 and max(mass_lo, mass_hi) < _TAIL_MASS * total:
-            f = w / total
-            return InvariantDensity(x=xg, f=f, normalizer=total * math.exp(shift))
+            return GridDensity(x=xg, f=w / total)
         span = hi - lo
         if slope_lo <= 0.0 or mass_lo >= _TAIL_MASS * total:
             lo -= 0.5 * span
@@ -229,20 +213,9 @@ def trajectory_at(paths: np.ndarray, ok: np.ndarray, step: float, j: int) -> Tra
 
 def mle_ergodic(model: ErgodicModel, traj: Trajectory, tol: float = 1e-6) -> float:
     """Maximizer of the discretized log-likelihood of the drift family."""
-    x = traj.values
-    h = traj.grid.h
-    xl = x[:-1]
-    dx = np.diff(x)
+    xl = traj.values[:-1]
     inv_sig2 = 1.0 / np.asarray(model.diffusion(xl), dtype=float) ** 2
-    w = inv_sig2 * dx
-
-    # einsum, not np.dot: BLAS sums in an order that depends on its thread
-    # count, and the optimizer's parabolic steps would carry that rounding
-    # into theta_hat.
-    def loglik(theta: float) -> float:
-        s = np.asarray(model.drift(theta, xl), dtype=float)
-        return float(np.einsum("i,i->", s, w) - 0.5 * h * np.einsum("i,i,i->", s, s, inv_sig2))
-
+    loglik = diffusion_loglik(lambda theta: model.drift(theta, xl), np.diff(traj.values), inv_sig2, traj.grid.h)
     return maximize_1d(loglik, model.theta_domain, tol=tol)
 
 
@@ -327,20 +300,20 @@ def score_path_x_split(
         * dens.f
         / (info * np.asarray(model.diffusion(dens.x), dtype=float) ** 2)
     )
-    tau_raw = cumulative_trapezoid(weight, dens.dx)
-    if not tau_raw[-1] > 0.0:
-        raise ModelError("time change has zero total mass; drift sensitivity vanishes")
-    tau = tau_raw / tau_raw[-1]
-    return ScorePath(times=dens.x, values=values, time_change=tau, weight=weight)
+    return ScorePath(times=dens.x, values=values, time_change=time_change(cumulative_trapezoid(weight, dens.dx)))
+
+
+def _bump(u: np.ndarray) -> np.ndarray:
+    """The standard compact bump exp(u^2 / (u^2 - 1)) on (-1, 1), zero outside."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.where(np.abs(u) < 1.0, np.exp(u**2 / (u**2 - 1.0)), 0.0)
 
 
 @cache
 def _mollifier() -> tuple[np.ndarray, np.ndarray, float]:
     """Grid, normalized antiderivative and mass of the standard compact bump on (-1, 1)."""
     u = np.linspace(-1.0, 1.0, 8193)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        bump = np.where(np.abs(u) < 1.0, np.exp(u**2 / (u**2 - 1.0)), 0.0)
-    cdf = cumulative_trapezoid(bump, u[1] - u[0])
+    cdf = cumulative_trapezoid(_bump(u), u[1] - u[0])
     norm = cdf[-1]
     return u, cdf / norm, float(norm)
 
@@ -355,10 +328,7 @@ def mollifier_cdf(u: np.ndarray) -> np.ndarray:
 def mollifier_pdf(u: np.ndarray) -> np.ndarray:
     """Derivative of the smooth step: the normalized compact bump."""
     _, _, norm = _mollifier()
-    u = np.asarray(u, dtype=float)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        bump = np.where(np.abs(u) < 1.0, np.exp(u**2 / (u**2 - 1.0)), 0.0)
-    return bump / norm
+    return _bump(np.asarray(u, dtype=float)) / norm
 
 
 def score_path_x_smoothed(
@@ -435,14 +405,10 @@ def score_path_x_smoothed(
         * dens.f
         / (info * np.asarray(model.diffusion(xg), dtype=float) ** 2)
     )
-    tau_raw = cumulative_trapezoid(weight, dxg)
-    if not tau_raw[-1] > 0.0:
-        raise ModelError("time change has zero total mass; drift sensitivity vanishes")
-    tau = tau_raw / tau_raw[-1]
-    return ScorePath(times=xg, values=values, time_change=tau, weight=weight)
+    return ScorePath(times=xg, values=values, time_change=time_change(cumulative_trapezoid(weight, dxg)))
 
 
-def occupation_tv(traj: Trajectory, dens: InvariantDensity, n_bins: int = 32) -> float:
+def occupation_tv(traj: Trajectory, dens: GridDensity, n_bins: int = 32) -> float:
     """Total-variation distance between the path occupation and the invariant law.
 
     Bins span the central 99.8% invariant mass; the two tails form one bin
@@ -477,9 +443,7 @@ def run_test_ergodic(
         path = score_path_x_smoothed(model, traj, theta_hat, d_T=d_T)
     else:
         raise ConfigError(f"unknown ergodic approach {approach!r}")
-    domain = model.theta_domain
-    moment_boundary = theta_bar in (domain.lower, domain.upper)
-    return decide(path, alpha, kind, approach, domain, theta_hat, theta_bar, moment_boundary=moment_boundary)
+    return decide(path, alpha, kind, approach, theta_hat, theta_bar)
 
 
 def ou_model(

@@ -61,6 +61,9 @@ class ExperimentConfig:
     label: str = ""
 
     def __post_init__(self):
+        family_knob = catalog.family(self.family).knob
+        if self.knob != family_knob:
+            raise ConfigError(f"knob {self.knob!r} is not the {self.family} family's knob {family_knob!r}")
         if self.replicates < 100:
             raise ConfigError(f"need at least 100 replicates, got {self.replicates}")
         for alpha in self.alphas:
@@ -76,9 +79,6 @@ class ExperimentConfig:
         family, knob, knob_value, replicates = (
             catalog.require(cfg, key, path) for key in ("family", "knob", "knob_value", "replicates")
         )
-        family_knob = catalog.family(family).knob
-        if knob != family_knob:
-            raise ConfigError(f"config {path} has knob {knob!r}, but the {family} family's knob is {family_knob!r}")
         return cls(
             family=family,
             knob=knob,

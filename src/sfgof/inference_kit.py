@@ -3,9 +3,10 @@
 Provides bounded scalar maximization (a coarse grid scan, in one call when
 the objective broadcasts over theta, then Brent's parabolic-plus-golden
 refinement of every sampled peak), composite Simpson quadrature, a
-classical Runge-Kutta ODE integrator on uniform grids, and counter-based
-random streams that make Monte Carlo replication deterministic under any
-degree of parallelism.
+classical Runge-Kutta ODE integrator on uniform grids, the discretized
+diffusion log-likelihood, densities tabulated on a state grid, and
+counter-based random streams that make Monte Carlo replication
+deterministic under any degree of parallelism.
 """
 
 from __future__ import annotations
@@ -85,6 +86,40 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         key = np.array([self.master_seed % 2**64, self.stream_id % 2**64], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
+
+
+@dataclass(frozen=True)
+class GridDensity:
+    """Density values f on a uniform state grid x."""
+
+    x: np.ndarray
+    f: np.ndarray
+
+    @property
+    def dx(self) -> float:
+        return float(self.x[1] - self.x[0])
+
+    def cdf(self) -> np.ndarray:
+        c = cumulative_trapezoid(self.f, self.dx)
+        return c / c[-1]
+
+
+def diffusion_loglik(drift: Callable, dx: np.ndarray, inv_sig2: np.ndarray, h: float) -> Callable[[float], float]:
+    """Discretized diffusion log-likelihood theta -> sum S dX / sigma^2 - h/2 sum S^2 / sigma^2.
+
+    drift(theta) gives S at the left points of the increments dx, and
+    inv_sig2 holds 1 / sigma^2 there; h is the step.
+    """
+    w = inv_sig2 * dx
+
+    # einsum, not np.dot: BLAS sums in an order that depends on its thread
+    # count, and the optimizer's parabolic steps would carry that rounding
+    # into theta_hat.
+    def loglik(theta: float) -> float:
+        s = np.asarray(drift(theta), dtype=float)
+        return float(np.einsum("i,i->", s, w) - 0.5 * h * np.einsum("i,i,i->", s, s, inv_sig2))
+
+    return loglik
 
 
 def _eval_scalar(f: Callable[[float], float], x: float) -> float:

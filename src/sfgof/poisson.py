@@ -25,7 +25,7 @@ from .inference_kit import (
     maximize_1d,
     simpson_array,
 )
-from .score import ScorePath, TestOutcome, decide
+from .score import ScorePath, TestOutcome, decide, time_change
 
 _T_GRID_NODES = 4097
 _RATE_SCAN_NODES = 2048
@@ -280,12 +280,8 @@ def score_path_poisson(
     stoch = jumps[np.searchsorted(pooled, times, side="right")]
     values = scale * (stoch - np.interp(times, tg, comp_cum))
 
-    weight_grid = lam_dot**2 / (info * lam_bar)
-    tau_grid = cumulative_trapezoid(weight_grid, dt)
-    tau = np.interp(times, tg, tau_grid)
-    tau /= tau[-1]
-    weight = np.interp(times, tg, weight_grid)
-    return ScorePath(times=times, values=values, time_change=tau, weight=weight)
+    tau_grid = cumulative_trapezoid(lam_dot**2 / (info * lam_bar), dt)
+    return ScorePath(times=times, values=values, time_change=time_change(np.interp(times, tg, tau_grid)))
 
 
 def run_test_poisson(
@@ -309,7 +305,7 @@ def run_test_poisson(
         head = PeriodicEvents(period=events.period, times=events.times[:N])
         theta_bar = mle_poisson(model, head)
     path = score_path_poisson(model, events, theta_bar, theta_hat, N=N)
-    return decide(path, alpha, kind, "split", model.theta_domain, theta_hat, theta_bar)
+    return decide(path, alpha, kind, "split", theta_hat, theta_bar)
 
 
 def events_from_rows(period: float, n: int, rows: np.ndarray) -> PeriodicEvents:

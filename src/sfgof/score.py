@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
-from .inference_kit import ParamInterval
+from .errors import ConfigError, ModelError
 from .limit_laws import CriticalValue, default_critical_value
 
 
@@ -25,23 +24,29 @@ class ScorePath:
 
     values[i] is the score at times[i]; for step_function paths values[i]
     holds on [times[i], times[i+1]).  time_change is nondecreasing with
-    final value exactly 1 after renormalization.
+    final value exactly 1 after renormalization (see time_change below).
     """
 
     times: np.ndarray
     values: np.ndarray
     time_change: np.ndarray
-    weight: np.ndarray
-    step_function: bool = False
+    step_function: bool = field(default=False, kw_only=True)
 
     def __post_init__(self):
         n = self.times.size
-        if not (self.values.size == n and self.time_change.size == n and self.weight.size == n):
+        if not (self.values.size == n and self.time_change.size == n):
             raise ConfigError("score path arrays must have equal length")
         if self.time_change[-1] != 1.0:
             raise ConfigError("time change must end at exactly 1")
         if np.any(np.diff(self.time_change) < 0.0):
             raise ConfigError("time change must be nondecreasing")
+
+
+def time_change(mass: np.ndarray) -> np.ndarray:
+    """The time change of a cumulative information mass: mass normalized to end at exactly 1."""
+    if not mass[-1] > 0.0:
+        raise ModelError("time change has zero total mass; the score's sensitivity vanishes")
+    return mass / mass[-1]
 
 
 def delta_stat(score: ScorePath, kind: str) -> float:
@@ -80,7 +85,6 @@ class TestOutcome:
     approach: str
     theta_hat: float
     theta_bar: float | None = None
-    diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.reject != (self.statistic > self.critical.value):
@@ -92,16 +96,10 @@ def decide(
     alpha: float,
     kind: str,
     approach: str,
-    domain: ParamInterval,
     theta_hat: float,
     theta_bar: float | None = None,
-    **diagnostics,
 ) -> TestOutcome:
-    """The test at level alpha on a score path, against the exact critical value.
-
-    The outcome's diagnostics start with mle_boundary (theta_hat within a
-    thousandth of the interval's width of an end), then the given ones.
-    """
+    """The test at level alpha on a score path, against the exact critical value."""
     stat = delta_stat(path, kind)
     crit = default_critical_value(alpha, kind)
     return TestOutcome(
@@ -113,5 +111,4 @@ def decide(
         approach=approach,
         theta_hat=theta_hat,
         theta_bar=theta_bar,
-        diagnostics={"mle_boundary": domain.near_boundary(theta_hat, 1e-3 * domain.width), **diagnostics},
     )

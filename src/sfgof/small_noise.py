@@ -25,11 +25,12 @@ from .inference_kit import (
     TimeGrid,
     cumulative_simpson,
     cumulative_trapezoid,
+    diffusion_loglik,
     maximize_1d,
     ode_solve,
     simpson_array,
 )
-from .score import ScorePath, TestOutcome, decide
+from .score import ScorePath, TestOutcome, decide, time_change
 
 DEFAULT_NUM_STEPS = 10_000
 _THETA_TABLE_NODES = 129
@@ -224,22 +225,11 @@ def _window_table(model: SmallNoiseModel, k_win: int, h: float) -> tuple[np.ndar
 
 
 def _log_likelihood(model: SmallNoiseModel, traj: Trajectory) -> Callable[[float], float]:
-    ts = traj.grid.points()
-    x = traj.values
-    h = traj.grid.h
+    tl = traj.grid.points()[:-1]
+    xl = traj.values[:-1]
     eps2 = max(traj.epsilon, 1e-300) ** 2
-    xl = x[:-1]
-    tl = ts[:-1]
-    dx = np.diff(x)
     inv_sig2 = 1.0 / (eps2 * np.asarray(model.diffusion(tl, xl), dtype=float) ** 2)
-    w = inv_sig2 * dx
-
-    # einsum, not np.dot: BLAS rounding depends on its thread count (see mle_ergodic).
-    def loglik(theta: float) -> float:
-        s = np.asarray(model.drift(theta, tl, xl), dtype=float)
-        return float(np.einsum("i,i->", s, w) - 0.5 * h * np.einsum("i,i,i->", s, s, inv_sig2))
-
-    return loglik
+    return diffusion_loglik(lambda theta: model.drift(theta, tl, xl), np.diff(traj.values), inv_sig2, traj.grid.h)
 
 
 def mle_small_noise(model: SmallNoiseModel, traj: Trajectory, tol: float = 1e-6) -> float:
@@ -358,12 +348,8 @@ def score_path_split(
     np.cumsum(increments, out=values[1:])
     values *= scale
 
-    weight = sens**2 / (info * sig2)
-    tau_raw = cumulative_trapezoid(weight, h)
-    if not tau_raw[-1] > 0.0:
-        raise ModelError("time change has zero total mass; drift sensitivity vanishes on the window")
-    tau = tau_raw / tau_raw[-1]
-    return ScorePath(times=t_win, values=values, time_change=tau, weight=weight)
+    tau = time_change(cumulative_trapezoid(sens**2 / (info * sig2), h))
+    return ScorePath(times=t_win, values=values, time_change=tau)
 
 
 def score_path_direct(model: SmallNoiseModel, traj: Trajectory, theta_hat: float) -> ScorePath:
@@ -469,12 +455,8 @@ def score_path_ito(model: SmallNoiseModel, traj: Trajectory, theta_hat: float) -
 
     sens = np.asarray(model.drift_dtheta(theta_hat, ts, x), dtype=float)
     sig2 = np.asarray(model.diffusion(ts, x), dtype=float) ** 2
-    weight = sens**2 / (info * sig2)
-    tau_raw = cumulative_trapezoid(weight, h)
-    if not tau_raw[-1] > 0.0:
-        raise ModelError("time change has zero total mass; drift sensitivity vanishes")
-    tau = tau_raw / tau_raw[-1]
-    return ScorePath(times=ts, values=values, time_change=tau, weight=weight)
+    tau = time_change(cumulative_trapezoid(sens**2 / (info * sig2), h))
+    return ScorePath(times=ts, values=values, time_change=tau)
 
 
 def run_test_small_noise(
@@ -494,9 +476,7 @@ def run_test_small_noise(
         path = score_path_ito(model, traj, theta_hat)
     else:
         raise ConfigError(f"unknown small-noise approach {approach!r}")
-    domain = model.theta_domain
-    mde_boundary = theta_bar is not None and domain.near_boundary(theta_bar, 1e-3 * domain.width)
-    return decide(path, alpha, kind, approach, domain, theta_hat, theta_bar, mde_boundary=mde_boundary)
+    return decide(path, alpha, kind, approach, theta_hat, theta_bar)
 
 
 # Built-in model families and shipped alternatives.

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -65,7 +66,10 @@ class TestSimulate:
         lag1 = np.corrcoef(s.values[:-1], s.values[1:])[0, 1]
         assert abs(lag1 - THETA0) <= 3.0 / math.sqrt(s.n)
 
-    def test_batch_column_matches_single(self, model):
+    @pytest.mark.parametrize("sampler", [True, False], ids=["sampler-start", "density-start"])
+    def test_batch_column_matches_single(self, model, sampler):
+        if not sampler:
+            model = replace(model, stationary_sampler=None)  # starts through the stationary density's CDF
         streams = [RngStream(75, i) for i in range(3)]
         batch = simulate_ar_batch(model, THETA0, 500, streams)
         for j, stream in enumerate(streams):
@@ -213,7 +217,6 @@ class TestDeltaAndRunTest:
             times=sp.times,
             values=np.zeros_like(sp.values),
             time_change=sp.time_change,
-            weight=sp.weight,
             step_function=True,
         )
         assert delta_stat(zeroed, "cvm") == 0.0
@@ -224,7 +227,7 @@ class TestDeltaAndRunTest:
         values = np.array([0.0, 2.0, -1.0, -1.0])
         from sfgof.score import ScorePath
 
-        sp = ScorePath(times, values, tau, np.ones(4), step_function=True)
+        sp = ScorePath(times, values, tau, step_function=True)
         assert delta_stat(sp, "cvm") == pytest.approx(0.0 * 0.25 + 4.0 * 0.5 + 1.0 * 0.25)
         assert delta_stat(sp, "ks") == 2.0
 

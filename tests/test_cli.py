@@ -5,6 +5,7 @@ import pytest
 
 from sfgof import harness
 from sfgof.cli import main
+from sfgof.errors import ConfigError
 from sfgof.inference_kit import RngStream
 from sfgof.limit_laws import default_critical_value
 from sfgof.poisson import linear_intensity_model, simulate_periodic_poisson, sin_profile
@@ -257,6 +258,15 @@ class TestMissingKeys:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and repr(wrong) in captured.err and repr(knob) in captured.err
         assert captured.out == ""
+
+    @pytest.mark.parametrize("family, model, knob, value, sim", SMALL_SETTINGS, ids=SETTING_IDS)
+    def test_study_config_built_with_another_familys_knob(self, family, model, knob, value, sim):
+        wrong = "T" if knob != "T" else "n"
+        with pytest.raises(ConfigError) as info:
+            harness.ExperimentConfig(
+                family=family, knob=wrong, knob_value=value, replicates=100, model_params=model, sim_params=sim
+            )
+        assert repr(wrong) in str(info.value) and repr(knob) in str(info.value)
 
     @pytest.mark.parametrize("family, model, knob, value, sim", SMALL_SETTINGS, ids=SETTING_IDS)
     def test_test_config_without_knob(self, tmp_path, capsys, family, model, knob, value, sim):

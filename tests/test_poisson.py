@@ -249,9 +249,7 @@ class TestDeltaAndRunTest:
         n = 4
         ev = PeriodicEvents(period=1.0, times=tuple(np.empty(0) for _ in range(n)))
         sp = score_path_poisson(model, ev, THETA0, THETA0, N=1)
-        zeroed = type(sp)(
-            times=sp.times, values=np.zeros_like(sp.values), time_change=sp.time_change, weight=sp.weight
-        )
+        zeroed = type(sp)(times=sp.times, values=np.zeros_like(sp.values), time_change=sp.time_change)
         assert delta_stat(zeroed, "cvm") == 0.0
 
     def test_run_test_outcome(self, model, events):

@@ -7,7 +7,7 @@ import pytest
 from sfgof.errors import ConfigError, ModelError, NumericalError
 from sfgof.inference_kit import ParamInterval, RngStream, TimeGrid
 from sfgof.limit_laws import simulate_bridge
-from sfgof.score import ScorePath, delta_stat
+from sfgof.score import ScorePath, delta_stat, time_change
 from sfgof.small_noise import (
     SmallNoiseModel,
     Trajectory,
@@ -362,9 +362,20 @@ class TestScorePathIto:
 class TestDeltaStat:
     def test_zero_score(self):
         times = np.linspace(0.0, 1.0, 11)
-        sp = ScorePath(times, np.zeros(11), times.copy(), np.ones(11))
+        sp = ScorePath(times, np.zeros(11), times.copy())
         assert delta_stat(sp, "cvm") == 0.0
         assert delta_stat(sp, "ks") == 0.0
+
+    def test_step_function_is_keyword_only(self):
+        times = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(TypeError):
+            ScorePath(times, np.zeros(11), times.copy(), np.ones(11))
+
+    def test_time_change_ends_at_one(self):
+        tau = time_change(np.cumsum(np.linspace(0.1, 3.0, 999)))
+        assert tau[-1] == 1.0 and np.all(np.diff(tau) >= 0.0)
+        with pytest.raises(ModelError):
+            time_change(np.zeros(11))
 
     def test_bridge_change_of_variables(self):
         # A score path whose values are a bridge read through tau must give
@@ -374,7 +385,7 @@ class TestDeltaStat:
         tau = (times / 2.0) ** 2
         tau /= tau[-1]
         values = np.interp(tau, bridge.taus, bridge.values)
-        sp = ScorePath(times, values, tau, np.ones(501))
+        sp = ScorePath(times, values, tau)
         from sfgof.limit_laws import bridge_functional
 
         assert delta_stat(sp, "cvm") == pytest.approx(bridge_functional(bridge, "cvm"), abs=5e-3)
