@@ -69,6 +69,8 @@ class SeriesSample:
     values: np.ndarray
 
     def __post_init__(self):
+        if self.values.ndim != 1:
+            raise ConfigError(f"series sample must be one value per line, got shape {self.values.shape}")
         if self.values.size < 2:
             raise ConfigError("series sample needs at least two values")
         if not np.all(np.isfinite(self.values)):

@@ -50,12 +50,6 @@ class PoissonModel:
         if self.period <= 0.0:
             raise ConfigError(f"period must be positive, got {self.period}")
 
-    def check_positive(self, theta: float) -> None:
-        tg = np.linspace(0.0, self.period, _RATE_SCAN_NODES)
-        lam = np.asarray(self.intensity(theta, tg), dtype=float)
-        if not np.all(lam > 0.0):
-            raise ModelError(f"intensity must be strictly positive on the period at theta={theta}")
-
 
 @dataclass(frozen=True)
 class LinearPoissonModel(PoissonModel):
@@ -88,23 +82,28 @@ def linear_intensity_model(
 
 @dataclass(frozen=True)
 class PeriodicEvents:
-    """Per-period sorted event times, each in [0, period)."""
+    """Event times in [0, period), sorted by (period index, time).
+
+    Period j holds times[offsets[j]:offsets[j + 1]], so offsets has n + 1 entries.
+    """
 
     period: float
-    times: tuple
+    times: np.ndarray
+    offsets: np.ndarray
 
     @property
     def n(self) -> int:
-        return len(self.times)
+        return self.offsets.size - 1
 
     def pooled(self, first: int = 0) -> np.ndarray:
         """Events of periods first..n-1 pooled into one sorted array."""
-        if self.n == first:
-            return np.empty(0)
-        return np.sort(np.concatenate([np.asarray(t, dtype=float) for t in self.times[first:]]))
+        return np.sort(self.times[self.offsets[first] :])
 
-    def total_count(self) -> int:
-        return int(sum(len(t) for t in self.times))
+
+def _events(period: float, n: int, index: np.ndarray, times: np.ndarray) -> PeriodicEvents:
+    """The record of events times[k] in period index[k], in any order."""
+    offsets = np.concatenate([[0], np.cumsum(np.bincount(index, minlength=n))])
+    return PeriodicEvents(period=period, times=times[np.lexsort((times, index))], offsets=offsets)
 
 
 def simulate_periodic_poisson(
@@ -135,11 +134,7 @@ def simulate_periodic_poisson(
     total = int(counts.sum())
     candidates = gen.uniform(0.0, model.period, size=total)
     accept = gen.uniform(size=total) * lam_max < np.asarray(lam(candidates), dtype=float)
-    bounds = np.concatenate([[0], np.cumsum(counts)])
-    periods = tuple(
-        np.sort(candidates[bounds[j] : bounds[j + 1]][accept[bounds[j] : bounds[j + 1]]]) for j in range(n)
-    )
-    return PeriodicEvents(period=model.period, times=periods)
+    return _events(model.period, n, np.repeat(np.arange(n), counts)[accept], candidates[accept])
 
 
 def mean_measure(model: PoissonModel, theta: float, t: np.ndarray) -> np.ndarray:
@@ -178,7 +173,7 @@ def _log_likelihood(model: PoissonModel, events: PeriodicEvents) -> Callable:
 
 def mle_poisson(model: PoissonModel, events: PeriodicEvents, tol: float = 1e-6) -> float:
     """Maximizer of the periodic-sample log-likelihood."""
-    if events.total_count() < 1:
+    if events.times.size < 1:
         raise ConfigError("need at least one event to estimate the intensity")
     return maximize_1d(_log_likelihood(model, events), model.theta_domain, tol=tol)
 
@@ -187,10 +182,7 @@ def empirical_mean_measure(events: PeriodicEvents, n_first: int, t_grid: np.ndar
     """Average counting path over the first n_first periods on a time grid."""
     if n_first < 1:
         raise ConfigError(f"need at least one period, got {n_first}")
-    counts = np.zeros(t_grid.size)
-    for j in range(n_first):
-        counts += np.searchsorted(np.asarray(events.times[j], dtype=float), t_grid, side="right")
-    return counts / n_first
+    return np.searchsorted(np.sort(events.times[: events.offsets[n_first]]), t_grid, side="right") / n_first
 
 
 def mde_linear_intensity(
@@ -243,6 +235,14 @@ def fisher_poisson(model: PoissonModel, theta: float) -> float:
     return value
 
 
+def _head_size(events: PeriodicEvents, N: int | None) -> int:
+    """The preliminary fit's period count N, floor(sqrt(n)) by default, leaving a held-out period."""
+    N = int(math.isqrt(events.n)) if N is None else N
+    if not 0 <= N < events.n:
+        raise ConfigError(f"need 0 <= N < n, got N={N}, n={events.n}")
+    return N
+
+
 def score_path_poisson(
     model: PoissonModel,
     events: PeriodicEvents,
@@ -256,17 +256,14 @@ def score_path_poisson(
     full-sample estimate.  The path is evaluated on the union of a fine
     grid and the event times so jumps are represented exactly.
     """
-    if N is None:
-        N = int(math.isqrt(events.n))
-    if not 0 <= N < events.n:
-        raise ConfigError(f"need 0 <= N < n, got N={N}, n={events.n}")
-    model.check_positive(theta_bar)
-    info = fisher_poisson(model, theta_bar)
-    scale = 1.0 / math.sqrt(info * events.n)
-
+    N = _head_size(events, N)
     tg = np.linspace(0.0, model.period, _T_GRID_NODES)
     dt = tg[1] - tg[0]
     lam_bar = np.asarray(model.intensity(theta_bar, tg), dtype=float)
+    if not np.all(lam_bar > 0.0):
+        raise ModelError(f"intensity must be strictly positive on the period at theta={theta_bar}")
+    info = fisher_poisson(model, theta_bar)
+    scale = 1.0 / math.sqrt(info * events.n)
     lam_dot = np.asarray(model.intensity_dtheta(theta_bar, tg), dtype=float)
     comp_rate = lam_dot * np.asarray(model.intensity(theta_hat, tg), dtype=float) / lam_bar
     comp_cum = (events.n - N) * cumulative_simpson(comp_rate, dt)
@@ -296,13 +293,12 @@ def run_test_poisson(
     The preliminary estimate is the minimum-distance projection for the
     linear family and a first-N-periods likelihood fit otherwise.
     """
-    if N is None:
-        N = int(math.isqrt(events.n))
+    N = _head_size(events, N)
     theta_hat = mle_poisson(model, events)
     if isinstance(model, LinearPoissonModel) and model.profile is not None:
         theta_bar = model.theta_domain.clip(mde_linear_intensity(model, events, N=N))
     else:
-        head = PeriodicEvents(period=events.period, times=events.times[:N])
+        head = PeriodicEvents(events.period, events.times[: events.offsets[N]], events.offsets[: N + 1])
         theta_bar = mle_poisson(model, head)
     path = score_path_poisson(model, events, theta_bar, theta_hat, N=N)
     return decide(path, alpha, kind, "split", theta_hat, theta_bar)
@@ -313,13 +309,15 @@ def events_from_rows(period: float, n: int, rows: np.ndarray) -> PeriodicEvents:
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != 2:
         raise ConfigError("event rows must be two columns: period_index, time")
-    idx = rows[:, 0].astype(int)
-    if np.any((idx < 0) | (idx >= n)):
+    if not np.all(np.isfinite(rows)):
+        raise ConfigError("event rows must be finite")
+    if np.any(rows[:, 0] != np.floor(rows[:, 0])):
+        raise ConfigError("period indices must be whole numbers")
+    if np.any((rows[:, 0] < 0) | (rows[:, 0] >= n)):
         raise ConfigError("period indices must lie in [0, n)")
     if np.any((rows[:, 1] < 0.0) | (rows[:, 1] >= period)):
         raise ConfigError("event times must lie in [0, period)")
-    periods = tuple(np.sort(rows[idx == j, 1]) for j in range(n))
-    return PeriodicEvents(period=period, times=periods)
+    return _events(period, n, rows[:, 0].astype(int), rows[:, 1])
 
 
 def sin_profile(period: float, amplitude: float = 0.5) -> Callable:

@@ -89,16 +89,16 @@ class TestTest:
             {"family": "poisson", "model": {"name": "linear-h"}, "theta0": 2.0, "n": 60, "alpha": 0.05},
         )
         assert main(["test", "poisson", "--config", cfg, "--seed", "4"]) == 0
-        capsys.readouterr()
+        simulated = capsys.readouterr().out
+        assert simulated.startswith("model,n,")
 
         model = linear_intensity_model(sin_profile(1.0), lam0=1.0, period=1.0, theta_lo=0.5, theta_hi=5.0)
         events = simulate_periodic_poisson(model, 2.0, 60, RngStream(4, 0))
-        rows = [(j, t) for j, times in enumerate(events.times) for t in times]
+        rows = np.column_stack([np.repeat(np.arange(events.n), np.diff(events.offsets)), events.times])
         events_path = tmp_path / "events.csv"
-        np.savetxt(events_path, np.array(rows), delimiter=",")
+        np.savetxt(events_path, rows, delimiter=",")
         assert main(["test", "poisson", "--config", cfg, "--events", str(events_path)]) == 0
-        out = capsys.readouterr().out.splitlines()
-        assert out[0].startswith("model,n,")
+        assert capsys.readouterr().out == simulated
 
     def test_ar_from_file(self, tmp_path, capsys):
         from sfgof.ar import linear_gaussian_ar, simulate_ar
@@ -145,6 +145,15 @@ class TestBoundaryErrors:
         missing = str(tmp_path / "absent.csv")
         assert main(["test", "ar", "--config", cfg, "--data", missing]) == 2
         assert capsys.readouterr().err.startswith(f"error: cannot read {missing}")
+
+    def test_data_file_with_several_values_per_line(self, tmp_path, capsys):
+        data_path = tmp_path / "series.txt"
+        np.savetxt(data_path, np.linspace(-1.0, 1.0, 800).reshape(200, 4))
+        cfg = write_config(tmp_path, "ar.json", {"model": {"name": "linear-gaussian"}, "theta0": 0.5, "n": 200})
+        assert main(["test", "ar", "--config", cfg, "--data", str(data_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: series sample must be one value per line")
+        assert "Traceback" not in captured.err and captured.out == ""
 
     def test_missing_config_file(self, tmp_path, capsys):
         missing = str(tmp_path / "absent.json")

@@ -7,7 +7,6 @@ import pytest
 from sfgof.errors import ConfigError, ModelError
 from sfgof.inference_kit import ParamInterval, RngStream, integrate_1d
 from sfgof.poisson import (
-    PeriodicEvents,
     _log_likelihood,
     PoissonModel,
     empirical_mean_measure,
@@ -26,6 +25,12 @@ from sfgof.poisson import (
 from sfgof.score import delta_stat
 
 THETA0 = 2.0
+NO_EVENTS = np.empty((0, 2))
+
+
+def period_rows(events):
+    """The (period index, time) rows that events_from_rows reads back."""
+    return np.column_stack([np.repeat(np.arange(events.n), np.diff(events.offsets)), events.times])
 
 
 @pytest.fixture(scope="module")
@@ -51,12 +56,12 @@ def constant_model(theta_lo=0.5, theta_hi=5.0) -> PoissonModel:
 class TestSimulate:
     def test_homogeneous_total_count(self):
         ev = simulate_periodic_poisson(constant_model(), 2.0, 1000, RngStream(52, 0))
-        total = ev.total_count()
+        total = ev.times.size
         assert abs(total - 2000.0) <= 3.0 * math.sqrt(2000.0)
 
     def test_period_count_mean(self, model, events):
         lam_total = float(mean_measure(model, THETA0, np.array([1.0]))[0])
-        counts = np.array([len(t) for t in events.times])
+        counts = np.diff(events.offsets)
         assert abs(counts.mean() - lam_total) <= 3.0 * math.sqrt(lam_total / events.n)
 
     def test_event_positions_follow_mean_measure(self, model):
@@ -88,7 +93,7 @@ class TestMle:
         m = constant_model()
         ev = simulate_periodic_poisson(m, 2.0, 500, RngStream(56, 0))
         theta = mle_poisson(m, ev)
-        assert abs(theta - ev.total_count() / 500.0) <= 1e-6
+        assert abs(theta - ev.times.size / 500.0) <= 1e-6
 
     def test_asymptotic_variance(self, model):
         info = fisher_poisson(model, THETA0)
@@ -111,7 +116,7 @@ class TestMle:
         assert med[400] < med[200]
 
     def test_needs_events(self, model):
-        empty = PeriodicEvents(period=1.0, times=tuple(np.empty(0) for _ in range(5)))
+        empty = events_from_rows(1.0, 5, NO_EVENTS)
         with pytest.raises(ConfigError):
             mle_poisson(model, empty)
 
@@ -147,7 +152,7 @@ class TestMle:
             theta = mle_poisson(plugin, ev)
         assert set(seen) == {float}
         # The profile integrates to 1 over the period, so exp(theta_hat) is the mean count.
-        assert abs(theta - math.log(ev.total_count() / 300.0)) <= 1e-6
+        assert abs(theta - math.log(ev.times.size / 300.0)) <= 1e-6
 
 
 class TestMde:
@@ -167,7 +172,7 @@ class TestMde:
 
         profile_cum = cumulative_simpson(model.profile(tg), tg[1] - tg[0])
         mean_path = THETA0 * profile_cum + model.lam0 * tg
-        ev = PeriodicEvents(period=1.0, times=(np.array([0.5]), np.array([0.25])))
+        ev = events_from_rows(1.0, 2, np.array([[0, 0.5], [1, 0.25]]))
         theta = mde_linear_intensity(model, ev, N=1, mean_path=mean_path)
         assert theta == pytest.approx(THETA0, abs=1e-10)
 
@@ -183,7 +188,7 @@ class TestMde:
 
     def test_requires_linear_family(self):
         with pytest.raises(ConfigError):
-            mde_linear_intensity(constant_model(), PeriodicEvents(1.0, (np.array([0.5]),)))
+            mde_linear_intensity(constant_model(), events_from_rows(1.0, 1, np.array([[0, 0.5]])))
 
     def test_head_bounds(self, model, events):
         with pytest.raises(ConfigError):
@@ -195,7 +200,7 @@ class TestMde:
 class TestScorePath:
     def test_no_events_gives_minus_compensator(self, model):
         n, head = 8, 2
-        ev = PeriodicEvents(period=1.0, times=tuple(np.empty(0) for _ in range(n)))
+        ev = events_from_rows(1.0, n, NO_EVENTS)
         sp = score_path_poisson(model, ev, THETA0, THETA0, N=head)
         info = fisher_poisson(model, THETA0)
         scale = 1.0 / math.sqrt(info * n)
@@ -222,10 +227,9 @@ class TestScorePath:
     def test_head_periods_do_not_enter(self, model):
         ev = simulate_periodic_poisson(model, THETA0, 60, RngStream(62, 0))
         head = 7
-        scrubbed = PeriodicEvents(
-            period=ev.period,
-            times=tuple(np.empty(0) if j < head else ev.times[j] for j in range(ev.n)),
-        )
+        rows = period_rows(ev)
+        scrubbed = events_from_rows(ev.period, ev.n, rows[rows[:, 0] >= head])
+        assert scrubbed.times.size < ev.times.size
         sp_full = score_path_poisson(model, ev, 1.9, 2.1, N=head)
         sp_scrubbed = score_path_poisson(model, scrubbed, 1.9, 2.1, N=head)
         assert np.array_equal(sp_full.values, sp_scrubbed.values)
@@ -239,7 +243,7 @@ class TestScorePath:
             period=1.0,
             theta_domain=ParamInterval(0.5, 5.0),
         )
-        ev = PeriodicEvents(period=1.0, times=(np.array([0.1]), np.array([0.2])))
+        ev = events_from_rows(1.0, 2, np.array([[0, 0.1], [1, 0.2]]))
         with pytest.raises(ModelError):
             score_path_poisson(degenerate, ev, 2.0, 2.0, N=1)
 
@@ -247,7 +251,7 @@ class TestScorePath:
 class TestDeltaAndRunTest:
     def test_zero_score_zero_statistic(self, model):
         n = 4
-        ev = PeriodicEvents(period=1.0, times=tuple(np.empty(0) for _ in range(n)))
+        ev = events_from_rows(1.0, n, NO_EVENTS)
         sp = score_path_poisson(model, ev, THETA0, THETA0, N=1)
         zeroed = type(sp)(times=sp.times, values=np.zeros_like(sp.values), time_change=sp.time_change)
         assert delta_stat(zeroed, "cvm") == 0.0
@@ -274,9 +278,14 @@ class TestEventsIO:
     def test_roundtrip(self):
         rows = np.array([[0, 0.25], [0, 0.75], [2, 0.5]])
         ev = events_from_rows(1.0, 3, rows)
-        assert np.array_equal(ev.times[0], [0.25, 0.75])
-        assert ev.times[1].size == 0
-        assert np.array_equal(ev.times[2], [0.5])
+        assert np.array_equal(ev.offsets, [0, 2, 2, 3])
+        assert np.array_equal(ev.times, [0.25, 0.75, 0.5])
+
+    def test_simulated_rows_read_back(self, model):
+        ev = simulate_periodic_poisson(model, THETA0, 40, RngStream(65, 0))
+        back = events_from_rows(ev.period, ev.n, period_rows(ev)[::-1])
+        assert np.array_equal(back.times, ev.times)
+        assert np.array_equal(back.offsets, ev.offsets)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -285,3 +294,8 @@ class TestEventsIO:
             events_from_rows(1.0, 2, np.array([[5, 0.5]]))
         with pytest.raises(ConfigError):
             events_from_rows(1.0, 2, np.array([0.5, 0.25]))
+        for bad_index in (0.7, -0.5):
+            with pytest.raises(ConfigError, match="whole numbers"):
+                events_from_rows(1.0, 2, np.array([[bad_index, 0.5]]))
+        with pytest.raises(ConfigError, match="finite"):
+            events_from_rows(1.0, 2, np.array([[0, np.nan]]))
