@@ -22,6 +22,7 @@ DEFAULT_CONFIGS = [
     "poisson_power.json",
     "ar_size.json",
     "ar_power.json",
+    "invisible_alternative.json",
 ]
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import importlib
 import inspect
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable
@@ -47,13 +48,18 @@ def require(cfg: dict, key: str, path: str | Path) -> Any:
 
 
 def load_rows(path: str | Path, **kwargs) -> np.ndarray:
-    """Numeric rows of a recorded-data file, with read and parse failures as ConfigError."""
+    """Numeric rows of a recorded-data file, with read and parse failures and no rows as ConfigError."""
     try:
-        return np.loadtxt(path, **kwargs)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            rows = np.loadtxt(path, **kwargs)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"cannot parse {path}: {exc}") from exc
+    if rows.size == 0:
+        raise ConfigError(f"{path} holds no data rows")
+    return rows
 
 
 def _load_plugin(spec: str) -> Callable:
@@ -151,11 +157,12 @@ class Family:
     one replicate per stream, from alt or, where alt is None, from model;
     sample(drawn, j) is replicate j of that draw, or raises NumericalError or
     ModelError for a replicate that must be excluded.  test(model, sample,
-    alpha, approach, kind, sim) runs the family's run_test.  sim holds the
-    simulation and construction settings (num_steps, step, d_T, N).  A family
-    that reads recorded data names the ``sfgof test`` option for its file in
-    data_flag, and load(model, knob, path) returns the sample, whose length n
-    is then the knob.
+    alpha, approach, kind, sim) runs the family's run_test, where approach is
+    one of the score constructions in approaches.  sim holds the simulation
+    and construction settings (num_steps, step, d_T, N).  A family that reads
+    recorded data names the ``sfgof test`` option for its file in data_flag,
+    and load(model, knob, path) returns the sample, whose length n is then
+    the knob.
     """
 
     knob: str
@@ -166,6 +173,7 @@ class Family:
     draw: Callable
     sample: Callable
     test: Callable
+    approaches: tuple[str, ...] = ("split",)
     load: Callable | None = None
     data_flag: str | None = None
 
@@ -206,6 +214,7 @@ FAMILIES: dict[str, Family] = {
         test=lambda model, sample, alpha, approach, kind, sim: small_noise.run_test_small_noise(
             model, sample, alpha, approach=approach, kind=kind
         ),
+        approaches=("split", "ito"),
     ),
     "ergodic": Family(
         knob="T",
@@ -218,6 +227,7 @@ FAMILIES: dict[str, Family] = {
         test=lambda model, sample, alpha, approach, kind, sim: ergodic.run_test_ergodic(
             model, sample, alpha, approach=approach, kind=kind, d_T=sim.get("d_T")
         ),
+        approaches=("split", "smoothed"),
     ),
     "poisson": Family(
         knob="n",
@@ -253,3 +263,10 @@ def family(name: str) -> Family:
     if name not in FAMILIES:
         raise ConfigError(f"unknown family {name!r}")
     return FAMILIES[name]
+
+
+def check_approach(name: str, approach: str) -> None:
+    """ConfigError unless the family called name runs the score construction approach."""
+    approaches = family(name).approaches
+    if approach not in approaches:
+        raise ConfigError(f"the {name} family runs approach {' or '.join(map(repr, approaches))}, not {approach!r}")

@@ -44,6 +44,8 @@ def _cmd_test(args) -> int:
         if getattr(args, flag) is not None and flag != family.data_flag:
             raise ConfigError(f"--{flag} does not apply to the {args.family} family")
     cfg = catalog.read_config(args.config)
+    approach = cfg.get("approach", "split")
+    catalog.check_approach(args.family, approach)
     model_cfg = dict(cfg.get("model", {}))
     model = family.build(model_cfg)
     recorded = getattr(args, family.data_flag) if family.data_flag else None
@@ -56,9 +58,7 @@ def _cmd_test(args) -> int:
         if theta0 is None:
             raise ConfigError("simulating a sample needs theta0 in the config or its model section")
         sample = family.sample(family.draw(model, None, theta0, knob, cfg, [RngStream(args.seed, 0)]), 0)
-    outcome = family.test(
-        model, sample, cfg.get("alpha", 0.05), cfg.get("approach", "split"), cfg.get("kind", "cvm"), cfg
-    )
+    outcome = family.test(model, sample, cfg.get("alpha", 0.05), approach, cfg.get("kind", "cvm"), cfg)
     _print_test_row(family.knob, knob, model.name, outcome)
     return 0
 

@@ -64,6 +64,7 @@ class ExperimentConfig:
         family_knob = catalog.family(self.family).knob
         if self.knob != family_knob:
             raise ConfigError(f"knob {self.knob!r} is not the {self.family} family's knob {family_knob!r}")
+        catalog.check_approach(self.family, self.approach)
         if self.replicates < 100:
             raise ConfigError(f"need at least 100 replicates, got {self.replicates}")
         for alpha in self.alphas:

@@ -45,10 +45,10 @@ class SmallNoiseModel:
     Callables must broadcast over numpy arrays in x (and t).  The drift may
     also be called with a theta array shaped like x, when drift_flow solves
     the flows of many theta at once; a drift that cannot take one is solved
-    theta by theta.  The optional drift_dtheta_dx derivative marks the
-    model as eligible for the antiderivative score construction;
-    time_varying signals that the score weight depends on t, which switches
-    that construction to per-time antiderivative tables.
+    theta by theta.  The optional weight_factors = (a, b) declares that the
+    score weight separates, dS/dtheta(theta, t, x) / sigma(t, x)^2 =
+    a(t) * b(theta, x), with a broadcasting over t and b over x; declaring it
+    makes the model eligible for the antiderivative score construction.
     """
 
     name: str
@@ -58,8 +58,7 @@ class SmallNoiseModel:
     x0: float
     horizon: float
     theta_domain: ParamInterval
-    drift_dtheta_dx: Callable | None = None
-    time_varying: bool = False
+    weight_factors: tuple[Callable, Callable] | None = None
 
 
 @dataclass(frozen=True)
@@ -368,28 +367,21 @@ def _x_grid(traj: Trajectory, x0: float) -> np.ndarray:
     return np.linspace(lo - pad, hi + pad, _X_GRID_NODES)
 
 
-def _interp_rows_at(xg: np.ndarray, tables: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Linear interpolation of each table row at its own query point."""
-    j = np.clip(np.searchsorted(xg, x) - 1, 0, xg.size - 2)
-    w = (x - xg[j]) / (xg[j + 1] - xg[j])
-    rows = np.arange(tables.shape[0])
-    return (1.0 - w) * tables[rows, j] + w * tables[rows, j + 1]
-
-
 def score_path_ito(model: SmallNoiseModel, traj: Trajectory, theta_hat: float) -> ScorePath:
     """Score path via the antiderivative of the sensitivity weight.
 
-    H(theta, t, x) integrates dS/dtheta / sigma^2 in x from x0; the
-    stochastic integral is replaced by H evaluated along the path minus the
-    time-derivative compensator, and the remaining noise-squared correction
-    term is dropped as asymptotically negligible.  H is interpolated from a
-    cached antiderivative on an x grid (one table for time-invariant
-    weights, per-time tables otherwise).
+    With the declared weight a(t) * b(theta, x), H(t, x) = a(t) * B(x), where
+    B integrates b(theta_hat, .) in x from x0 on one x-grid table.  The
+    stochastic integral is replaced by H along the path minus the
+    time-derivative compensator, whose rate is the central difference of a
+    (one-sided at t_0) times B; the remaining noise-squared correction
+    term is dropped as asymptotically negligible.
     """
-    if model.drift_dtheta_dx is None:
-        raise ConfigError("antiderivative construction needs the drift_dtheta_dx derivative")
+    if model.weight_factors is None:
+        raise ConfigError("antiderivative construction needs the model's weight_factors declaration")
     if traj.epsilon <= 0.0:
         raise ConfigError("score path requires a positive noise level")
+    a, b = model.weight_factors
     ts = traj.grid.points()
     x = traj.values
     h = traj.grid.h
@@ -398,49 +390,16 @@ def score_path_ito(model: SmallNoiseModel, traj: Trajectory, theta_hat: float) -
     info = _fisher_cached(model, theta_hat)
     scale = 1.0 / (traj.epsilon * math.sqrt(info))
     xg = _x_grid(traj, model.x0)
-    dxg = xg[1] - xg[0]
+    anti = cumulative_simpson(np.asarray(b(theta_hat, xg), dtype=float), xg[1] - xg[0])
+    anti -= np.interp(model.x0, xg, anti)
+    b_path = np.interp(x, xg, anti)
 
-    if not model.time_varying:
-        w_nodes = np.asarray(model.drift_dtheta(theta_hat, ts[0], xg), dtype=float) / np.asarray(
-            model.diffusion(ts[0], xg), dtype=float
-        ) ** 2
-        anti = cumulative_simpson(w_nodes, dxg)
-        anti -= np.interp(model.x0, xg, anti)
-        h_path = np.interp(x, xg, anti)
-        hs_cum = np.zeros(n + 1)
-    else:
-        h_path = np.empty(n + 1)
-        hs_rate = np.empty(n + 1)
-        chunk = 256
-        for start in range(0, n + 1, chunk):
-            stop = min(start + chunk, n + 1)
-            lo = max(start - 1, 0)
-            hi = min(stop + 1, n + 1)
-            t_rows = ts[lo:hi]
-            w_rows = np.asarray(
-                model.drift_dtheta(theta_hat, t_rows[:, None], xg[None, :]), dtype=float
-            ) / np.asarray(model.diffusion(t_rows[:, None], xg[None, :]), dtype=float) ** 2
-            tables = np.concatenate(
-                [np.zeros((w_rows.shape[0], 1)), np.cumsum(0.5 * dxg * (w_rows[:, 1:] + w_rows[:, :-1]), axis=1)],
-                axis=1,
-            )
-            j0 = np.clip(np.searchsorted(xg, model.x0) - 1, 0, xg.size - 2)
-            w0 = (model.x0 - xg[j0]) / (xg[j0 + 1] - xg[j0])
-            tables -= ((1.0 - w0) * tables[:, j0] + w0 * tables[:, j0 + 1])[:, None]
-
-            sel = np.arange(start, stop)
-            local = sel - lo
-            x_sel = x[sel]
-            h_path[sel] = _interp_rows_at(xg, tables[local], x_sel)
-            up = np.minimum(local + 1, tables.shape[0] - 1)
-            dn = np.maximum(local - 1, 0)
-            fwd = _interp_rows_at(xg, tables[up], x_sel)
-            bwd = _interp_rows_at(xg, tables[dn], x_sel)
-            steps = (ts[np.minimum(sel + 1, n)] - ts[np.maximum(sel - 1, 0)])
-            hs_rate[sel] = (fwd - bwd) / steps
-        hs_cum = np.empty(n + 1)
-        hs_cum[0] = 0.0
-        np.cumsum(hs_rate[:-1] * h, out=hs_cum[1:])
+    a_t = np.broadcast_to(np.asarray(a(ts), dtype=float), ts.shape)
+    dn = np.maximum(np.arange(-1, n - 1), 0)
+    a_rate = (a_t[1:] - a_t[dn]) / (ts[1:] - ts[dn])
+    hs_cum = np.empty(n + 1)
+    hs_cum[0] = 0.0
+    np.cumsum(a_rate * b_path[:-1] * h, out=hs_cum[1:])
 
     tl = ts[:-1]
     xl = x[:-1]
@@ -451,7 +410,7 @@ def score_path_ito(model: SmallNoiseModel, traj: Trajectory, theta_hat: float) -
     riem[0] = 0.0
     np.cumsum(sens_l * drift_hat / sig2_l * h, out=riem[1:])
 
-    values = scale * (h_path - hs_cum - riem)
+    values = scale * (a_t * b_path - hs_cum - riem)
 
     sens = np.asarray(model.drift_dtheta(theta_hat, ts, x), dtype=float)
     sig2 = np.asarray(model.diffusion(ts, x), dtype=float) ** 2
@@ -498,8 +457,7 @@ def linear_model(
         x0=x0,
         horizon=horizon,
         theta_domain=ParamInterval(theta_lo, theta_hi),
-        drift_dtheta_dx=lambda theta, t, x: np.ones_like(np.asarray(x, dtype=float)),
-        time_varying=False,
+        weight_factors=(lambda t: 1.0, lambda theta, x: np.asarray(x, dtype=float) / sigma**2),
     )
 
 
@@ -518,17 +476,14 @@ def gated_linear_model(
     """
     half = 0.5 * horizon
 
+    def gate(t):
+        return (np.asarray(t, dtype=float) > half) * 1.0
+
     def drift(theta, t, x):
-        gate = np.asarray(t, dtype=float) > half
-        return np.asarray(x, dtype=float) * np.where(gate, theta, 1.0)
+        return np.asarray(x, dtype=float) * np.where(gate(t), theta, 1.0)
 
     def drift_dtheta(theta, t, x):
-        gate = np.asarray(t, dtype=float) > half
-        return np.asarray(x, dtype=float) * gate
-
-    def drift_dtheta_dx(theta, t, x):
-        gate = np.asarray(t, dtype=float) > half
-        return np.ones_like(np.asarray(x, dtype=float)) * gate
+        return np.asarray(x, dtype=float) * gate(t)
 
     return SmallNoiseModel(
         name="gated-linear",
@@ -538,8 +493,7 @@ def gated_linear_model(
         x0=x0,
         horizon=horizon,
         theta_domain=ParamInterval(theta_lo, theta_hi),
-        drift_dtheta_dx=drift_dtheta_dx,
-        time_varying=True,
+        weight_factors=(gate, lambda theta, x: np.asarray(x, dtype=float) / sigma**2),
     )
 
 

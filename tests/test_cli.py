@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ SMALL_SETTINGS = [
     ("ar", {"name": "linear-gaussian", "theta0": 0.5}, "n", 200, {}),
 ]
 SETTING_IDS = [setting[0] for setting in SMALL_SETTINGS]
+# A score construction that each family does not run.
+FOREIGN_APPROACH = {"small-noise": "smoothed", "ergodic": "ito", "poisson": "ito", "ar": "smoothed"}
 
 
 def write_config(tmp_path, name, payload):
@@ -155,6 +158,20 @@ class TestBoundaryErrors:
         assert captured.err.startswith("error: series sample must be one value per line")
         assert "Traceback" not in captured.err and captured.out == ""
 
+    @pytest.mark.parametrize("content", ["", "\n\n"], ids=["empty", "blank-lines"])
+    @pytest.mark.parametrize("family, flag", [("poisson", "--events"), ("ar", "--data")])
+    def test_recorded_data_file_without_rows(self, tmp_path, capsys, family, flag, content):
+        model, knob, value, sim = next(setting[1:] for setting in SMALL_SETTINGS if setting[0] == family)
+        cfg = write_config(tmp_path, "test.json", {"model": model, knob: value, **sim})
+        data_path = tmp_path / "recorded.csv"
+        data_path.write_text(content)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["test", family, "--config", cfg, flag, str(data_path)]) == 2
+        assert caught == []
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {data_path} holds no data rows\n" and captured.out == ""
+
     def test_missing_config_file(self, tmp_path, capsys):
         missing = str(tmp_path / "absent.json")
         assert main(["test", "ar", "--config", missing]) == 2
@@ -241,7 +258,8 @@ class TestExperiments:
 
 
 class TestMissingKeys:
-    """A config without a required key, or with another family's knob, ends in `error: ...` naming the key, and exit code 2."""
+    """A config without a required key, with another family's knob or with an approach its family does not run ends
+    in `error: ...` naming the key or value, and exit code 2."""
 
     @pytest.mark.parametrize("key", ["family", "knob", "knob_value", "replicates"])
     def test_study_config(self, tmp_path, capsys, key):
@@ -283,6 +301,25 @@ class TestMissingKeys:
         assert main(["test", family, "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and repr(knob) in err
+
+
+    @pytest.mark.parametrize("family, model, knob, value, sim", SMALL_SETTINGS, ids=SETTING_IDS)
+    def test_approach_the_family_does_not_run(self, tmp_path, capsys, family, model, knob, value, sim):
+        approach = FOREIGN_APPROACH[family]
+        with pytest.raises(ConfigError) as info:
+            harness.ExperimentConfig(
+                family=family, knob=knob, knob_value=value, replicates=100, approach=approach, model_params=model,
+                sim_params=sim,
+            )
+        assert repr(approach) in str(info.value) and family in str(info.value)
+        study = {"family": family, "knob": knob, "knob_value": value, "replicates": 100, "approach": approach,
+                 "model": model, "sim": sim}
+        test = {"model": model, knob: value, "approach": approach, **sim}
+        for argv in (["size", "--config", write_config(tmp_path, "size.json", study)],
+                     ["test", family, "--config", write_config(tmp_path, "test.json", test)]):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ") and repr(approach) in captured.err and captured.out == ""
 
 
 class TestCrossPath:

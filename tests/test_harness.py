@@ -229,9 +229,9 @@ class TestModesAndValidation:
         raised = []
         for threads in (1, 2):
             with pytest.raises(ConfigError) as info:
-                run_size(quick_config(approach="bogus", threads=threads))
+                run_size(quick_config(kind="bogus", threads=threads))
             raised.append((type(info.value), str(info.value)))
-        assert raised[0] == raised[1] == (ConfigError, "unknown small-noise approach 'bogus'")
+        assert raised[0] == raised[1] == (ConfigError, "unknown statistic kind 'bogus'")
 
 
 class TestExclusions:

@@ -5,6 +5,9 @@ gate; they witness convergence directions and the second score
 construction's calibration.
 """
 
+import math
+from pathlib import Path
+
 import numpy as np
 
 from sfgof.harness import ExperimentConfig, run_power, run_size
@@ -104,3 +107,24 @@ def test_ergodic_smoothed_route_is_calibrated():
     assert 0.02 <= report.rows[0].rate <= 0.09
     assert report.ks_to_oracle <= 0.10
     assert report.excluded == 0
+
+
+def _binomial_window(n: int, p: float, mass: float) -> tuple[int, int]:
+    """Smallest and largest count of the central `mass` interval of Binomial(n, p)."""
+    cdf = np.cumsum([math.comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(n + 1)])
+    tail = 0.5 * (1.0 - mass)
+    return int(np.searchsorted(cdf, tail, side="right")), int(np.searchsorted(cdf, 1.0 - tail))
+
+
+def test_invisible_alternative_keeps_rejection_at_the_level():
+    # The gated family's score ignores the early half of the horizon, so the
+    # gated-early alternative, which differs only there, must be rejected
+    # about as often as a true null.  The count must lie in the central 99%
+    # interval of Binomial(300, 0.05), [6, 25]: a count outside it would be
+    # a 1-in-100 draw for a test that holds its level.  Seed 0 rejects 15.
+    config = ExperimentConfig.from_file(Path(__file__).resolve().parent.parent / "configs" / "invisible_alternative.json")
+    report = run_power(config)
+    assert report.excluded == 0
+    row = report.rows[0]
+    lo, hi = _binomial_window(config.replicates, row.alpha, 0.99)
+    assert lo <= row.rejections <= hi

@@ -301,6 +301,35 @@ class TestScorePathSplit:
             score_path_split(model, flow, THETA0, THETA0)
 
 
+def time_varying_model() -> SmallNoiseModel:
+    """Drift theta * (1 + t/2) * x, whose score weight (1 + t/2) * x varies in t."""
+    return SmallNoiseModel(
+        name="tv-linear",
+        drift=lambda th, t, x: th * (1.0 + 0.5 * np.asarray(t)) * np.asarray(x, dtype=float),
+        drift_dtheta=lambda th, t, x: (1.0 + 0.5 * np.asarray(t)) * np.asarray(x, dtype=float),
+        diffusion=lambda t, x: np.ones_like(np.asarray(x, dtype=float)),
+        x0=1.0,
+        horizon=1.0,
+        theta_domain=ParamInterval(0.1, 0.9),
+        weight_factors=(lambda t: 1.0 + 0.5 * np.asarray(t), lambda th, x: np.asarray(x, dtype=float)),
+    )
+
+
+@pytest.mark.parametrize(
+    "build", [linear_model, lambda: linear_model(sigma=0.7), gated_linear_model, time_varying_model]
+)
+def test_weight_factors_equal_the_drift_weight(build):
+    # The declared a(t) * b(theta, x) is the score weight dS/dtheta / sigma^2.
+    # The t grid holds the gated model's jump at t = 0.5 and steps over it.
+    m = build()
+    a, b = m.weight_factors
+    theta, t, x = np.meshgrid(
+        np.linspace(0.1, 0.9, 5), np.linspace(0.0, 1.0, 41), np.linspace(-2.0, 3.0, 11), indexing="ij"
+    )
+    weight = m.drift_dtheta(theta, t, x) / m.diffusion(t, x) ** 2
+    np.testing.assert_allclose(a(t) * b(theta, x), weight, rtol=1e-15, atol=0.0)
+
+
 class TestScorePathIto:
     def test_agrees_with_direct_integral_linear(self, model):
         grid = default_grid(model)
@@ -311,17 +340,7 @@ class TestScorePathIto:
         assert np.max(np.abs(ito.values - direct.values)) <= 0.05
 
     def test_agrees_with_direct_integral_time_varying(self):
-        tv = SmallNoiseModel(
-            name="tv-linear",
-            drift=lambda th, t, x: th * (1.0 + 0.5 * np.asarray(t)) * np.asarray(x, dtype=float),
-            drift_dtheta=lambda th, t, x: (1.0 + 0.5 * np.asarray(t)) * np.asarray(x, dtype=float),
-            diffusion=lambda t, x: np.ones_like(np.asarray(x, dtype=float)),
-            x0=1.0,
-            horizon=1.0,
-            theta_domain=ParamInterval(0.1, 0.9),
-            drift_dtheta_dx=lambda th, t, x: (1.0 + 0.5 * np.asarray(t)) * np.ones_like(np.asarray(x, dtype=float)),
-            time_varying=True,
-        )
+        tv = time_varying_model()
         grid = default_grid(tv)
         t = simulate_sde(tv, THETA0, 0.05, grid, RngStream(18, 0))
         theta_hat = mle_small_noise(tv, t)
@@ -353,7 +372,7 @@ class TestScorePathIto:
             x0=model.x0,
             horizon=model.horizon,
             theta_domain=model.theta_domain,
-            drift_dtheta_dx=None,
+            weight_factors=None,
         )
         with pytest.raises(ConfigError):
             score_path_ito(stripped, traj, THETA0)
