@@ -38,8 +38,7 @@ _FIXED_POINT_MAX_ITER = 500
 class ARModel:
     """Regression family S(theta, x) driven by noise with known log-density.
 
-    noise_logpdf and its first derivative are required; the second
-    derivative is optional and only used for consistency diagnostics.
+    noise_logpdf and its first derivative are required.
     invariant_logpdf, when supplied, gives the stationary law in closed
     form; otherwise it is computed by fixed-point iteration of the
     transition kernel on a state grid.  noise_support bounds the noise
@@ -57,7 +56,6 @@ class ARModel:
     noise_support: tuple = (-12.0, 12.0)
     x_lo: float = -10.0
     x_hi: float = 10.0
-    noise_logpdf_d2: Callable | None = None
     invariant_logpdf: Callable | None = None
     stationary_sampler: Callable | None = None
 
@@ -162,11 +160,6 @@ def _check_tails(dens: GridDensity) -> None:
         raise ModelError("stationary density tails decay too slowly for the state-indexed score")
 
 
-def simulate_ar(model: ARModel, theta0: float, n: int, rng: RngStream) -> SeriesSample:
-    """Stationary-start sample of length n + 1."""
-    return sample_at(simulate_ar_batch(model, theta0, n, [rng]), 0)
-
-
 def sample_at(paths: np.ndarray, j: int) -> SeriesSample:
     """Column j of `simulate_ar_batch` paths; NumericalError if it is not finite."""
     values = paths[:, j]
@@ -240,16 +233,6 @@ def noise_information(model: ARModel) -> float:
     return float(value)
 
 
-def state_information(model: ARModel, theta: float) -> float:
-    """Stationary expectation of the squared regression sensitivity."""
-    dens = stationary_density(model, theta)
-    sens = np.asarray(model.regression_dtheta(theta, dens.x), dtype=float)
-    value = simpson_array(sens**2 * dens.f, dens.dx)
-    if not np.isfinite(value) or value <= 0.0:
-        raise ModelError(f"state information must be positive, got {value!r} at theta={theta}")
-    return float(value)
-
-
 def score_path_ar(model: ARModel, sample: SeriesSample, theta_hat: float) -> ScorePath:
     """State-indexed score: a step function jumping at each lagged value.
 
@@ -289,10 +272,14 @@ def score_path_ar(model: ARModel, sample: SeriesSample, theta_hat: float) -> Sco
     return ScorePath(times=times, values=values, time_change=tau, step_function=True)
 
 
-def run_test_ar(model: ARModel, sample: SeriesSample, alpha: float, kind: str = "cvm") -> TestOutcome:
+def run_test_ar(
+    model: ARModel, sample: SeriesSample, alpha: float, approach: str = "split", kind: str = "cvm"
+) -> TestOutcome:
     """Fit the regression family, build the step score path, and test."""
+    if approach != "split":
+        raise ConfigError(f"unknown autoregression approach {approach!r}")
     theta_hat = mle_ar(model, sample)
-    return decide(score_path_ar(model, sample, theta_hat), alpha, kind, "mle", theta_hat)
+    return decide(score_path_ar(model, sample, theta_hat), alpha, kind, approach, theta_hat)
 
 
 def linear_gaussian_ar(
@@ -314,7 +301,6 @@ def linear_gaussian_ar(
         regression_dtheta=lambda theta, x: np.asarray(x, dtype=float),
         noise_logpdf=lambda e: -0.5 * np.asarray(e, dtype=float) ** 2 / var - 0.5 * math.log(2.0 * math.pi * var),
         noise_logpdf_d1=lambda e: -np.asarray(e, dtype=float) / var,
-        noise_logpdf_d2=lambda e: -np.ones_like(np.asarray(e, dtype=float)) / var,
         noise_sampler=lambda gen, size: sigma * gen.standard_normal(size),
         theta_domain=ParamInterval(theta_lo, theta_hi),
         noise_support=(-12.0 * sigma, 12.0 * sigma),

@@ -238,7 +238,7 @@ FAMILIES: dict[str, Family] = {
         draw=lambda model, alt, theta0, n, sim, streams: (model, alt, theta0, n, streams),
         sample=_sample_poisson,
         test=lambda model, sample, alpha, approach, kind, sim: poisson.run_test_poisson(
-            model, sample, alpha, kind=kind, N=sim.get("N")
+            model, sample, alpha, approach=approach, kind=kind, N=sim.get("N")
         ),
         load=_load_events,
         data_flag="events",
@@ -251,7 +251,9 @@ FAMILIES: dict[str, Family] = {
         alternative=ar_alternative,
         draw=lambda model, alt, theta0, n, sim, streams: ar.simulate_ar_batch(alt or model, theta0, n, streams),
         sample=lambda drawn, j: ar.sample_at(drawn, j),
-        test=lambda model, sample, alpha, approach, kind, sim: ar.run_test_ar(model, sample, alpha, kind=kind),
+        test=lambda model, sample, alpha, approach, kind, sim: ar.run_test_ar(
+            model, sample, alpha, approach=approach, kind=kind
+        ),
         load=lambda model, n, path: ar.SeriesSample(values=np.asarray(load_rows(path, ndmin=1), dtype=float)),
         data_flag="data",
     ),

@@ -109,19 +109,6 @@ def invariant_density(model: ErgodicModel, theta: float, n_nodes: int = _X_NODES
     raise ModelError(f"invariant density mass does not concentrate at theta={theta}; family looks non-ergodic")
 
 
-def fisher_ergodic(model: ErgodicModel, theta: float) -> float:
-    """Information integral of the squared drift sensitivity under the invariant law."""
-    dens = invariant_density(model, theta)
-    w = (
-        np.asarray(model.drift_dtheta(theta, dens.x), dtype=float)
-        / np.asarray(model.diffusion(dens.x), dtype=float)
-    ) ** 2 * dens.f
-    info = simpson_array(w, dens.dx)
-    if not np.isfinite(info) or info <= 0.0:
-        raise ModelError(f"information integral must be positive, got {info!r} at theta={theta}")
-    return info
-
-
 # Built once per model, in a bounded LRU cache that holds its models alive
 # until they are evicted.
 _TABLE_CACHE_SIZE = 8
@@ -139,6 +126,8 @@ def _theta_tables(model: ErgodicModel) -> tuple[np.ndarray, np.ndarray, np.ndarr
         sens = np.asarray(model.drift_dtheta(theta, dens.x), dtype=float)
         sig = np.asarray(model.diffusion(dens.x), dtype=float)
         infos[i] = simpson_array((sens / sig) ** 2 * dens.f, dens.dx)
+        if not np.isfinite(infos[i]) or infos[i] <= 0.0:
+            raise ModelError(f"information integral must be positive, got {infos[i]!r} at theta={theta}")
         moments[i] = simpson_array(np.asarray(model.moment(dens.x), dtype=float) * dens.f, dens.dx)
     return thetas, infos, moments
 
@@ -193,12 +182,6 @@ def excursion_mask(model: ErgodicModel, paths: np.ndarray) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         ok = np.all(np.isfinite(paths), axis=0) & (np.max(np.abs(paths - mid), axis=0) <= 10.0 * width)
     return ok
-
-
-def simulate_ergodic(model: ErgodicModel, theta0: float, T: float, step: float, rng: RngStream) -> Trajectory:
-    """One stationary-start Euler path as a Trajectory (epsilon field unused, set to 1)."""
-    paths = simulate_ergodic_batch(model, theta0, T, step, [rng])
-    return trajectory_at(paths, excursion_mask(model, paths), step, 0)
 
 
 def trajectory_at(paths: np.ndarray, ok: np.ndarray, step: float, j: int) -> Trajectory:
@@ -280,8 +263,6 @@ def score_path_x_split(
     dx = np.diff(x[k0:])
 
     info = _fisher_cached(model, theta_bar)
-    if info <= 0.0:
-        raise ModelError(f"information must be positive at theta_bar={theta_bar}")
     sens = np.asarray(model.drift_dtheta(theta_bar, xl), dtype=float)
     sig2 = np.asarray(model.diffusion(xl), dtype=float) ** 2
     increments = (sens / sig2) * (dx - np.asarray(model.drift(theta_hat, xl), dtype=float) * h)
@@ -406,23 +387,6 @@ def score_path_x_smoothed(
         / (info * np.asarray(model.diffusion(xg), dtype=float) ** 2)
     )
     return ScorePath(times=xg, values=values, time_change=time_change(cumulative_trapezoid(weight, dxg)))
-
-
-def occupation_tv(traj: Trajectory, dens: GridDensity, n_bins: int = 32) -> float:
-    """Total-variation distance between the path occupation and the invariant law.
-
-    Bins span the central 99.8% invariant mass; the two tails form one bin
-    each so both measures are compared as full distributions.
-    """
-    cdf = dens.cdf()
-    lo = float(np.interp(0.001, cdf, dens.x))
-    hi = float(np.interp(0.999, cdf, dens.x))
-    edges = np.linspace(lo, hi, n_bins + 1)
-    p_model = np.diff(np.interp(edges, dens.x, cdf))
-    p_model = np.concatenate([[np.interp(edges[0], dens.x, cdf)], p_model, [1.0 - np.interp(edges[-1], dens.x, cdf)]])
-    counts, _ = np.histogram(traj.values, bins=np.concatenate([[-np.inf], edges, [np.inf]]))
-    p_path = counts / traj.values.size
-    return float(0.5 * np.sum(np.abs(p_path - p_model)))
 
 
 def run_test_ergodic(

@@ -34,21 +34,6 @@ _TABLE_NODES = 1025
 _TABLE_RANGE = {"cvm": (0.004, 5.0), "ks": (0.2, 3.5)}
 _BESSEL_NODES = 64
 _KS_TERMS = 100
-_KS_DUAL_BELOW = 0.3
-
-
-@dataclass(frozen=True)
-class BridgePath:
-    """A discretized Brownian bridge on a uniform grid over [0, 1]."""
-
-    taus: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.taus.shape != self.values.shape:
-            raise ConfigError("bridge grid and values must have equal length")
-        if self.values[0] != 0.0 or self.values[-1] != 0.0:
-            raise ConfigError("bridge endpoints must be exactly zero")
 
 
 @dataclass(frozen=True)
@@ -78,29 +63,10 @@ def _bridge_values_batch(m: int, n_paths: int, gen: np.random.Generator) -> np.n
     return bridge
 
 
-def simulate_bridge(m: int, rng: RngStream) -> BridgePath:
-    """Draw one Brownian bridge as W(tau) - tau * W(1) on an m-step grid."""
-    if m < 2:
-        raise ConfigError(f"bridge grid needs m >= 2, got {m}")
-    values = _bridge_values_batch(m, 1, rng.generator())[0]
-    return BridgePath(np.linspace(0.0, 1.0, m + 1), values)
-
-
 def _cvm_batch(values: np.ndarray) -> np.ndarray:
     # Trapezoid of B^2 on the uniform grid; endpoint terms vanish.
     m = values.shape[1] - 1
     return np.sum(values[:, 1:-1] ** 2, axis=1) / m
-
-
-def bridge_functional(path: BridgePath, kind: str) -> float:
-    """Quadratic (kind='cvm') or sup (kind='ks') functional of a bridge path."""
-    if kind == "cvm":
-        dt = np.diff(path.taus)
-        sq = path.values**2
-        return float(np.sum(0.5 * dt * (sq[1:] + sq[:-1])))
-    if kind == "ks":
-        return float(np.max(np.abs(path.values)))
-    raise ConfigError(f"unknown functional kind {kind!r}")
 
 
 def bridge_cvm_samples(n_paths: int, m: int, rng: RngStream, chunk: int = 20_000) -> np.ndarray:
@@ -111,44 +77,6 @@ def bridge_cvm_samples(n_paths: int, m: int, rng: RngStream, chunk: int = 20_000
     while done < n_paths:
         take = min(chunk, n_paths - done)
         out[done : done + take] = _cvm_batch(_bridge_values_batch(m, take, gen))
-        done += take
-    return out
-
-
-def bridge_sup_samples(
-    n_paths: int,
-    m: int,
-    rng: RngStream,
-    chunk: int = 20_000,
-    exact_extrema: bool = True,
-) -> np.ndarray:
-    """Monte Carlo draws of sup |B|.
-
-    With exact_extrema the maximum and minimum of each between-grid segment
-    are drawn from their exact conditional law given the skeleton (the
-    segments are independent Brownian bridges), which removes the
-    O(1/sqrt(m)) downward bias of the plain discrete supremum.
-    """
-    gen = rng.generator()
-    h = 1.0 / m
-    out = np.empty(n_paths)
-    done = 0
-    while done < n_paths:
-        take = min(chunk, n_paths - done)
-        b = _bridge_values_batch(m, take, gen)
-        if exact_extrema:
-            left = b[:, :-1]
-            right = b[:, 1:]
-            s = left + right
-            d2 = (right - left) ** 2
-            u_hi = gen.uniform(size=(take, m))
-            u_lo = gen.uniform(size=(take, m))
-            seg_max = 0.5 * (s + np.sqrt(d2 - 2.0 * h * np.log(u_hi)))
-            seg_min = 0.5 * (s - np.sqrt(d2 - 2.0 * h * np.log(u_lo)))
-            sup = np.maximum(seg_max.max(axis=1), -seg_min.min(axis=1))
-        else:
-            sup = np.abs(b).max(axis=1)
-        out[done : done + take] = sup
         done += take
     return out
 
@@ -228,19 +156,6 @@ def _cdf_and_density(x, kind: str) -> tuple[np.ndarray, np.ndarray]:
     raise ConfigError(f"unknown statistic kind {kind!r}")
 
 
-def _bisect_survival(survival, alpha: float, lo: float, hi: float) -> float:
-    """Root of survival(x) = alpha for a decreasing survival function on [lo, hi]."""
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if survival(mid) > alpha:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12:
-            break
-    return 0.5 * (lo + hi)
-
-
 def critical_value_cvm(
     alpha: float,
     method: str = "monte-carlo",
@@ -275,43 +190,35 @@ def critical_value_cvm(
     return CriticalValue(alpha=alpha, value=value, method=tag, mc_error=err)
 
 
-def kolmogorov_survival(x: float, terms: int = 100) -> float:
-    """P(sup |B| > x) by the alternating exponential series, or its dual form below x = 0.3.
-
-    The alternating series still has large terms after ``terms`` of them
-    when x is small, so below 0.3 the survival is 1 minus the dual (Jacobi
-    theta) series (sqrt(2 pi) / x) sum_k exp(-(2k - 1)^2 pi^2 / (8 x^2)),
-    whose terms fall that fast.  The two forms agree within 7e-16 on [0.2, 0.4].
-    """
-    if x <= 0.0:
-        return 1.0
-    k = np.arange(1, terms + 1)
-    if x < _KS_DUAL_BELOW:
-        return float(1.0 - np.sqrt(2.0 * np.pi) / x * np.sum(np.exp(-((2 * k - 1) ** 2) * np.pi**2 / (8.0 * x * x))))
-    return float(2.0 * np.sum((-1.0) ** (k - 1) * np.exp(-2.0 * k**2 * x**2)))
-
-
-def critical_value_ks(alpha: float, terms: int = 100) -> CriticalValue:
-    """Critical value of sup |B|, solving the series survival equation by bisection."""
-    _check_alpha(alpha)
-    value = _bisect_survival(lambda x: kolmogorov_survival(x, terms), alpha, 0.04, 4.0)
-    return CriticalValue(alpha=alpha, value=value, method="series", mc_error=0.0)
-
-
 @lru_cache(maxsize=64)
 def default_critical_value(alpha: float, kind: str) -> CriticalValue:
     """Process-wide cached critical values used by the run_test helpers.
 
-    Both are exact: the root of the limit law's survival function, found by
-    bisection (method 'exact' for cvm, 'series' for ks, mc_error 0).
+    Both are exact: the root of the survival function 1 - F of the limit
+    law on the kind's table range, found by bisection (method 'exact',
+    mc_error 0).  An alpha whose root lies beyond the table is a DomainError.
     """
     _check_alpha(alpha)
-    if kind == "cvm":
-        value = _bisect_survival(lambda x: 1.0 - float(_cdf_and_density(x, "cvm")[0]), alpha, *_TABLE_RANGE["cvm"])
-        return CriticalValue(alpha=alpha, value=value, method="exact", mc_error=0.0)
-    if kind == "ks":
-        return critical_value_ks(alpha)
-    raise ConfigError(f"unknown statistic kind {kind!r}")
+    if kind not in _TABLE_RANGE:
+        raise ConfigError(f"unknown statistic kind {kind!r}")
+    lo, hi = _TABLE_RANGE[kind]
+    survival_hi, survival_lo = 1.0 - _cdf_and_density(np.array([hi, lo]), kind)[0]
+    if not survival_hi < alpha < survival_lo:
+        raise DomainError(f"alpha={alpha} puts the {kind} critical value outside [{lo}, {hi}]")
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if 1.0 - float(_cdf_and_density(mid, kind)[0]) > alpha:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo < 1e-12:
+            break
+    return CriticalValue(alpha=alpha, value=0.5 * (lo + hi), method="exact", mc_error=0.0)
+
+
+def critical_value_ks(alpha: float) -> CriticalValue:
+    """Critical value of sup |B|: the exact one that the tests decide with."""
+    return default_critical_value(alpha, "ks")
 
 
 @lru_cache(maxsize=2)

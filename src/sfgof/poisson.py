@@ -137,13 +137,6 @@ def simulate_periodic_poisson(
     return _events(model.period, n, np.repeat(np.arange(n), counts)[accept], candidates[accept])
 
 
-def mean_measure(model: PoissonModel, theta: float, t: np.ndarray) -> np.ndarray:
-    """Cumulative intensity evaluated at times t by cumulative Simpson."""
-    tg = np.linspace(0.0, model.period, _T_GRID_NODES)
-    cum = cumulative_simpson(np.asarray(model.intensity(theta, tg), dtype=float), tg[1] - tg[0])
-    return np.interp(t, tg, cum)
-
-
 def _log_likelihood(model: PoissonModel, events: PeriodicEvents) -> Callable:
     """Periodic-sample log-likelihood; -inf where the intensity is not positive at an event.
 
@@ -285,6 +278,7 @@ def run_test_poisson(
     model: PoissonModel,
     events: PeriodicEvents,
     alpha: float,
+    approach: str = "split",
     kind: str = "cvm",
     N: int | None = None,
 ) -> TestOutcome:
@@ -293,6 +287,8 @@ def run_test_poisson(
     The preliminary estimate is the minimum-distance projection for the
     linear family and a first-N-periods likelihood fit otherwise.
     """
+    if approach != "split":
+        raise ConfigError(f"unknown poisson approach {approach!r}")
     N = _head_size(events, N)
     theta_hat = mle_poisson(model, events)
     if isinstance(model, LinearPoissonModel) and model.profile is not None:
@@ -301,7 +297,7 @@ def run_test_poisson(
         head = PeriodicEvents(events.period, events.times[: events.offsets[N]], events.offsets[: N + 1])
         theta_bar = mle_poisson(model, head)
     path = score_path_poisson(model, events, theta_bar, theta_hat, N=N)
-    return decide(path, alpha, kind, "split", theta_hat, theta_bar)
+    return decide(path, alpha, kind, approach, theta_hat, theta_bar)
 
 
 def events_from_rows(period: float, n: int, rows: np.ndarray) -> PeriodicEvents:

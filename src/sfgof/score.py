@@ -63,16 +63,6 @@ def delta_stat(score: ScorePath, kind: str) -> float:
     return float(np.sum(0.5 * dtau * (sq[1:] + sq[:-1])))
 
 
-def step_value(score: ScorePath, x: float) -> float:
-    """Value of a step-function score path at index level x."""
-    if not score.step_function:
-        raise ConfigError("step_value only applies to step-function score paths")
-    idx = int(np.searchsorted(score.times, x, side="right")) - 1
-    if idx < 0:
-        return 0.0
-    return float(score.values[min(idx, score.values.size - 1)])
-
-
 @dataclass(frozen=True)
 class TestOutcome:
     """Result of one goodness-of-fit test."""

@@ -76,10 +76,6 @@ class Trajectory:
             raise ConfigError(f"epsilon must lie in [0, 1], got {self.epsilon}")
 
 
-def default_grid(model: SmallNoiseModel, num_steps: int = DEFAULT_NUM_STEPS) -> TimeGrid:
-    return TimeGrid(0.0, model.horizon, num_steps)
-
-
 def simulate_sde_batch(
     model: SmallNoiseModel,
     theta0: float,
@@ -112,17 +108,6 @@ def simulate_sde_batch(
             x = x + h * model.drift(theta0, t, x) + epsilon * model.diffusion(t, x) * dw[i]
             out[i + 1] = x
     return out
-
-
-def simulate_sde(
-    model: SmallNoiseModel,
-    theta0: float,
-    epsilon: float,
-    grid: TimeGrid,
-    rng: RngStream,
-) -> Trajectory:
-    """Euler path of the model SDE; epsilon = 0 reproduces the drift ODE flow."""
-    return trajectory_at(simulate_sde_batch(model, theta0, epsilon, grid, [rng]), grid, epsilon, 0)
 
 
 def trajectory_at(paths: np.ndarray, grid: TimeGrid, epsilon: float, j: int) -> Trajectory:
@@ -333,8 +318,6 @@ def score_path_split(
     dx = np.diff(x_win)
 
     info = _fisher_cached(model, theta_bar)
-    if info <= 0.0:
-        raise ModelError(f"information must be positive at theta_bar={theta_bar}")
     sens = np.asarray(model.drift_dtheta(theta_bar, t_win, x_win), dtype=float)
     sig2 = np.asarray(model.diffusion(t_win, x_win), dtype=float) ** 2
     if not np.all(sig2 > 0.0):
@@ -349,15 +332,6 @@ def score_path_split(
 
     tau = time_change(cumulative_trapezoid(sens**2 / (info * sig2), h))
     return ScorePath(times=t_win, values=values, time_change=tau)
-
-
-def score_path_direct(model: SmallNoiseModel, traj: Trajectory, theta_hat: float) -> ScorePath:
-    """Full-sample score path with theta_hat throughout.
-
-    Well defined as a discrete sum for drifts linear in theta; used as the
-    comparison target for the antiderivative construction.
-    """
-    return score_path_split(model, traj, theta_hat, theta_hat, nu_epsilon=0.0)
 
 
 def _x_grid(traj: Trajectory, x0: float) -> np.ndarray:

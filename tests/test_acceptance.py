@@ -20,13 +20,14 @@ from sfgof.harness import ExperimentConfig, run_power, run_size
 from sfgof.inference_kit import RngStream, TimeGrid, two_sample_ks
 from sfgof.limit_laws import (
     _bridge_values_batch,
-    bridge_sup_samples,
     critical_value_cvm,
     critical_value_ks,
     default_critical_value,
     oracle_statistics,
 )
 from sfgof.score import delta_stat
+
+from reference import bridge_sup_samples, occupation_tv, simulate_ar, simulate_ergodic, simulate_sde, step_value
 
 SIZE_WINDOW = (0.03, 0.07)
 SIZE_WINDOW_ERGODIC = (0.03, 0.08)
@@ -44,7 +45,7 @@ def small_noise_run():
     """Matched-replicate small-noise study: split and antiderivative routes
     computed from the same 2000 simulated paths at eps = 0.02."""
     model = sn_mod.linear_model()
-    grid = sn_mod.default_grid(model)
+    grid = TimeGrid(0.0, model.horizon, sn_mod.DEFAULT_NUM_STEPS)
     eps = 0.02
     n_reps = 2000
     stats_split = np.empty(n_reps)
@@ -196,8 +197,8 @@ def test_criterion_06_ergodic_size_and_occupation(ergodic_report):
     assert ergodic_report.ks_to_oracle <= 0.06
     assert not ergodic_report.exclusions_exceeded
     model = erg_mod.ou_model()
-    traj = erg_mod.simulate_ergodic(model, 1.0, 1000.0, 0.01, RngStream(906, 0))
-    tv = erg_mod.occupation_tv(traj, erg_mod.invariant_density(model, 1.0))
+    traj = simulate_ergodic(model, 1.0, 1000.0, 0.01, RngStream(906, 0))
+    tv = occupation_tv(traj, erg_mod.invariant_density(model, 1.0))
     assert tv <= 0.05
     assert ergodic_report.wall_clock < 1200.0
     report(
@@ -240,8 +241,6 @@ def test_criterion_08_ar_size_and_score_covariance(ar_report):
         for j in range(paths.shape[1]):
             sp = ar_mod.score_path_ar(model, ar_mod.SeriesSample(values=paths[:, j]), 0.5)
             for k, x in enumerate(levels):
-                from sfgof.score import step_value
-
                 values[start + j, k] = step_value(sp, x)
     dens = ar_mod.stationary_density(model, 0.5)
     from sfgof.inference_kit import cumulative_trapezoid
@@ -373,14 +372,14 @@ def test_criterion_11_time_change_invariants():
     sn_model = sn_mod.linear_model()
     grid = TimeGrid(0.0, 1.0, 2000)
     for i in range(50):
-        traj = sn_mod.simulate_sde(sn_model, 0.5, 0.05, grid, RngStream(911, i))
+        traj = simulate_sde(sn_model, 0.5, 0.05, grid, RngStream(911, i))
         theta_hat = sn_mod.mle_small_noise(sn_model, traj)
         check(sn_mod.score_path_split(sn_model, traj, sn_mod.mde_preliminary(sn_model, traj), theta_hat))
         check(sn_mod.score_path_ito(sn_model, traj, theta_hat))
 
     erg_model = erg_mod.ou_model()
     for i in range(50):
-        traj = erg_mod.simulate_ergodic(erg_model, 1.0, 50.0, 0.01, RngStream(912, i))
+        traj = simulate_ergodic(erg_model, 1.0, 50.0, 0.01, RngStream(912, i))
         theta_hat = erg_mod.mle_ergodic(erg_model, traj)
         check(erg_mod.score_path_x_split(erg_model, traj, erg_mod.preliminary_moments(erg_model, traj), theta_hat))
         check(erg_mod.score_path_x_smoothed(erg_model, traj, theta_hat))
@@ -394,7 +393,7 @@ def test_criterion_11_time_change_invariants():
 
     ar_model = ar_mod.linear_gaussian_ar()
     for i in range(50):
-        sample = ar_mod.simulate_ar(ar_model, 0.5, 500, RngStream(914, i))
+        sample = simulate_ar(ar_model, 0.5, 500, RngStream(914, i))
         check(ar_mod.score_path_ar(ar_model, sample, ar_mod.mle_ar(ar_model, sample)))
 
     assert checked == 300

@@ -5,6 +5,7 @@ import pytest
 from sfgof import catalog
 from sfgof.cli import main
 from sfgof.errors import ConfigError
+from sfgof.inference_kit import RngStream
 
 # family: (model builder, model params with one misspelt key, the key)
 MODEL_TYPOS = {
@@ -12,6 +13,13 @@ MODEL_TYPOS = {
     "ergodic": (catalog.build_ergodic_model, {"name": "ou", "x_low": -5.0}, "x_low"),
     "poisson": (catalog.build_poisson_model, {"name": "linear-h", "lamda0": 3.0}, "lamda0"),
     "ar": (catalog.build_ar_model, {"name": "linear-gaussian", "sigmaa": 2.0}, "sigmaa"),
+}
+# family: (knob value, simulation settings) for a small sample
+SMALL_SAMPLES = {
+    "small-noise": (0.05, {"num_steps": 2000}),
+    "ergodic": (50.0, {"step": 0.01}),
+    "poisson": (60, {}),
+    "ar": (300, {}),
 }
 # family: (alternative builder, name, params with one misspelt key, the key)
 ALTERNATIVE_TYPOS = {
@@ -69,3 +77,15 @@ def test_cli_reports_unknown_model_parameter(tmp_path, capsys):
     assert main(["test", "ar", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "sigmaa" in err
+
+
+@pytest.mark.parametrize("name", list(catalog.FAMILIES))
+def test_each_listed_approach_runs_and_is_reported(name):
+    family = catalog.FAMILIES[name]
+    model = family.build({})
+    knob, sim = SMALL_SAMPLES[name]
+    sample = family.sample(family.draw(model, None, family.theta0, knob, sim, [RngStream(17, 0)]), 0)
+    for approach in family.approaches:
+        assert family.test(model, sample, 0.05, approach, "cvm", sim).approach == approach
+    with pytest.raises(ConfigError, match="'wavelet'"):
+        family.test(model, sample, 0.05, "wavelet", "cvm", sim)

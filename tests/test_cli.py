@@ -104,7 +104,9 @@ class TestTest:
         assert capsys.readouterr().out == simulated
 
     def test_ar_from_file(self, tmp_path, capsys):
-        from sfgof.ar import linear_gaussian_ar, simulate_ar
+        from sfgof.ar import linear_gaussian_ar
+
+        from reference import simulate_ar
 
         sample = simulate_ar(linear_gaussian_ar(), 0.5, 600, RngStream(5, 0))
         data_path = tmp_path / "series.csv"
@@ -338,3 +340,5 @@ class TestCrossPath:
         fields = capsys.readouterr().out.splitlines()[1].split(",")
         theta_bar = "" if np.isnan(block.theta_bar[0]) else f"{block.theta_bar[0]:.10g}"
         assert fields[4:7] == [f"{block.theta_hat[0]:.10g}", theta_bar, f"{block.statistics[0]:.10g}"]
+        # The approach the test reports is the one the study's CSV prints.
+        assert fields[2] == study.approach

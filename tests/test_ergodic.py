@@ -7,18 +7,15 @@ from sfgof.errors import ConfigError, ModelError, NumericalError
 from sfgof.ergodic import (
     ErgodicModel,
     excursion_mask,
-    fisher_ergodic,
     invariant_density,
     mle_ergodic,
     mollifier_cdf,
     mollifier_pdf,
-    occupation_tv,
     ou_model,
     preliminary_moments,
     run_test_ergodic,
     score_path_x_smoothed,
     score_path_x_split,
-    simulate_ergodic,
     simulate_ergodic_batch,
     tanh_perturbed_drift,
     with_alternative_drift,
@@ -26,6 +23,8 @@ from sfgof.ergodic import (
 from sfgof.inference_kit import ParamInterval, RngStream, TimeGrid
 from sfgof.score import delta_stat
 from sfgof.small_noise import Trajectory
+
+from reference import fisher_ergodic, occupation_tv, simulate_ergodic
 
 THETA0 = 1.0
 
@@ -283,6 +282,20 @@ class TestRunTest:
         out = run_test_ergodic(model, long_traj, 0.05, approach="smoothed")
         assert out.theta_bar is None
         assert math.isfinite(out.statistic)
+
+    @pytest.mark.parametrize("approach", ["split", "smoothed"])
+    def test_vanishing_information_is_a_model_error(self, model, approach):
+        # The drift does not depend on theta here, so the score has no sensitivity.
+        blind = ErgodicModel(
+            name="blind-ou",
+            drift=model.drift,
+            drift_dtheta=lambda theta, x: np.zeros_like(np.asarray(x, dtype=float)),
+            diffusion=model.diffusion,
+            theta_domain=model.theta_domain,
+        )
+        traj = simulate_ergodic(model, THETA0, 50.0, 0.01, RngStream(42, 0))
+        with pytest.raises(ModelError, match="information"):
+            run_test_ergodic(blind, traj, 0.05, approach=approach)
 
     def test_unknown_approach(self, model, long_traj):
         with pytest.raises(ConfigError):

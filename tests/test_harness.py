@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sfgof import ar, catalog, ergodic, limit_laws, small_noise
+from sfgof import ar, catalog, ergodic, small_noise
 from sfgof.errors import ConfigError
 from sfgof.harness import (
     ExperimentConfig,
@@ -16,7 +16,10 @@ from sfgof.harness import (
 )
 from sfgof.inference_kit import ParamInterval, RngStream
 from sfgof.limit_laws import bridge_cvm_samples
+from sfgof.score import delta_stat
 from sfgof.small_noise import SmallNoiseModel
+
+from reference import bridge_sup_samples, simulate_bridge
 
 
 def explosive_model() -> SmallNoiseModel:
@@ -64,9 +67,9 @@ def ergodic_config(**overrides) -> ExperimentConfig:
 def _oracle_test(model, stream, alpha, approach, kind, sim):
     m = int(sim.get("m", 1000))
     if kind == "ks":
-        statistic = limit_laws.bridge_sup_samples(1, m, stream)[0]
+        statistic = bridge_sup_samples(1, m, stream)[0]
     else:
-        statistic = limit_laws.bridge_functional(limit_laws.simulate_bridge(m, stream), "cvm")
+        statistic = delta_stat(simulate_bridge(m, stream), "cvm")
     return SimpleNamespace(statistic=statistic, theta_hat=np.nan, theta_bar=None)
 
 

@@ -6,19 +6,17 @@ from hypothesis import strategies as st
 from sfgof.errors import ConfigError, DomainError
 from sfgof.inference_kit import RngStream
 from sfgof.limit_laws import (
-    BridgePath,
     _bridge_values_batch,
     _cdf_and_density,
     bridge_cvm_samples,
-    bridge_functional,
-    bridge_sup_samples,
     critical_value_cvm,
     critical_value_ks,
     default_critical_value,
-    kolmogorov_survival,
     oracle_statistics,
-    simulate_bridge,
 )
+from sfgof.score import ScorePath, delta_stat
+
+from reference import bridge_sup_samples, simulate_bridge
 
 # Frozen oracle quantiles of sup |B| from a 10^6-path Monte Carlo with
 # conditionally exact segment extrema (see test_acceptance for the live run).
@@ -43,8 +41,8 @@ class TestSimulateBridge:
 
     def test_grid_shape(self):
         path = simulate_bridge(100, RngStream(3, 0))
-        assert path.taus.size == 101
-        assert path.taus[0] == 0.0 and path.taus[-1] == 1.0
+        assert path.times.size == 101
+        assert path.times[0] == 0.0 and path.times[-1] == 1.0
         with pytest.raises(ConfigError):
             simulate_bridge(1, RngStream(3, 0))
 
@@ -70,17 +68,19 @@ class TestSimulateBridge:
 
 
 class TestBridgeFunctional:
+    """A bridge path is a score path in its own time, and its functionals are delta_stat."""
+
     def test_zero_path(self):
         taus = np.linspace(0.0, 1.0, 11)
-        path = BridgePath(taus, np.zeros(11))
-        assert bridge_functional(path, "cvm") == 0.0
-        assert bridge_functional(path, "ks") == 0.0
+        path = ScorePath(taus, np.zeros(11), taus)
+        assert delta_stat(path, "cvm") == 0.0
+        assert delta_stat(path, "ks") == 0.0
 
     def test_parabola_path(self):
         taus = np.linspace(0.0, 1.0, 1001)
-        path = BridgePath(taus, taus * (1.0 - taus))
-        assert bridge_functional(path, "cvm") == pytest.approx(1.0 / 30.0, abs=1e-6)
-        assert bridge_functional(path, "ks") == pytest.approx(0.25, abs=1e-12)
+        path = ScorePath(taus, taus * (1.0 - taus), taus)
+        assert delta_stat(path, "cvm") == pytest.approx(1.0 / 30.0, abs=1e-6)
+        assert delta_stat(path, "ks") == pytest.approx(0.25, abs=1e-12)
 
     def test_mean_quadratic_functional(self, bridge_batch):
         m = bridge_batch.shape[1] - 1
@@ -90,14 +90,14 @@ class TestBridgeFunctional:
     def test_unknown_kind(self):
         taus = np.linspace(0.0, 1.0, 11)
         with pytest.raises(ConfigError):
-            bridge_functional(BridgePath(taus, np.zeros(11)), "sup2")
+            delta_stat(ScorePath(taus, np.zeros(11), taus), "sup2")
 
     @given(st.integers(0, 2**31))
     @settings(max_examples=25, deadline=None)
     def test_quadratic_below_squared_sup(self, seed):
         path = simulate_bridge(256, RngStream(seed, 0))
-        cvm = bridge_functional(path, "cvm")
-        ks = bridge_functional(path, "ks")
+        cvm = delta_stat(path, "cvm")
+        ks = delta_stat(path, "ks")
         assert cvm <= ks * ks + 1e-12
 
 
@@ -153,15 +153,17 @@ class TestCriticalValues:
         assert crit.value < 0.05
 
     def test_survival_series_shape(self):
-        assert kolmogorov_survival(0.1) == pytest.approx(1.0, abs=1e-6)
-        assert kolmogorov_survival(3.0) < 1e-6
-        # Small x, where the alternating series is cut off too early: P(sup |B| > x) is 1 to within 1e-300.
-        for x in (0.005, 0.01, 0.03):
-            assert kolmogorov_survival(x) == pytest.approx(1.0, abs=1e-12)
-        # The dual form, used below 0.3, meets the alternating series there.
-        k = np.arange(1, 101)
-        alternating = 2.0 * np.sum((-1.0) ** (k - 1) * np.exp(-2.0 * k**2 * 0.09))
-        assert kolmogorov_survival(np.nextafter(0.3, 0.0)) == pytest.approx(alternating, abs=1e-14)
+        survival = 1.0 - _cdf_and_density(np.array([0.1, 3.0]), "ks")[0]
+        assert survival[0] == pytest.approx(1.0, abs=1e-6)
+        assert survival[1] < 1e-6
+
+    def test_alpha_beyond_table_range(self):
+        # A root outside the exact-law table would come back as the table's end.
+        for kind in ("cvm", "ks"):
+            with pytest.raises(DomainError):
+                default_critical_value(1e-13, kind)
+        with pytest.raises(ConfigError):
+            default_critical_value(0.05, "sup2")
 
     def test_mc_floor_contracts(self):
         with pytest.raises(ConfigError):
@@ -173,7 +175,8 @@ class TestCriticalValues:
         a = default_critical_value(0.05, "cvm")
         b = default_critical_value(0.05, "cvm")
         assert a is b
-        assert default_critical_value(0.05, "ks").value == critical_value_ks(0.05).value
+        assert default_critical_value(0.05, "ks") is critical_value_ks(0.05)
+        assert (critical_value_ks(0.05).method, critical_value_ks(0.05).mc_error) == ("exact", 0.0)
         for alpha, value in CVM_TABLE.items():
             crit = default_critical_value(alpha, "cvm")
             assert (crit.method, crit.mc_error) == ("exact", 0.0)

@@ -50,7 +50,9 @@ def test_small_noise_law_converges_as_noise_vanishes():
 
 def test_ergodic_mle_asymptotic_variance():
     # Scaled estimator fluctuations match the inverse information integral.
-    from sfgof.ergodic import fisher_ergodic, mle_ergodic, ou_model, simulate_ergodic_batch
+    from sfgof.ergodic import mle_ergodic, ou_model, simulate_ergodic_batch
+
+    from reference import fisher_ergodic
 
     model = ou_model()
     horizon, step, n_reps = 500.0, 0.01, 500

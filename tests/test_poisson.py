@@ -14,7 +14,6 @@ from sfgof.poisson import (
     fisher_poisson,
     linear_intensity_model,
     mde_linear_intensity,
-    mean_measure,
     mle_poisson,
     run_test_poisson,
     score_path_poisson,
@@ -23,6 +22,8 @@ from sfgof.poisson import (
     step_bump_intensity,
 )
 from sfgof.score import delta_stat
+
+from reference import mean_measure
 
 THETA0 = 2.0
 NO_EVENTS = np.empty((0, 2))

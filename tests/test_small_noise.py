@@ -6,12 +6,11 @@ import pytest
 
 from sfgof.errors import ConfigError, ModelError, NumericalError
 from sfgof.inference_kit import ParamInterval, RngStream, TimeGrid
-from sfgof.limit_laws import simulate_bridge
 from sfgof.score import ScorePath, delta_stat, time_change
 from sfgof.small_noise import (
+    DEFAULT_NUM_STEPS,
     SmallNoiseModel,
     Trajectory,
-    default_grid,
     default_mde_window,
     drift_flow,
     fisher_small_noise,
@@ -20,10 +19,8 @@ from sfgof.small_noise import (
     mde_preliminary,
     mle_small_noise,
     run_test_small_noise,
-    score_path_direct,
     score_path_ito,
     score_path_split,
-    simulate_sde,
     simulate_sde_batch,
     sin_perturbed_drift,
     with_alternative_drift,
@@ -34,6 +31,8 @@ from sfgof.small_noise import (
     _table_nodes,
     _window_table,
 )
+
+from reference import simulate_bridge, simulate_sde
 
 THETA0 = 0.5
 
@@ -50,7 +49,7 @@ def coarse_grid(model):
 
 @pytest.fixture(scope="module")
 def traj(model):
-    return simulate_sde(model, THETA0, 0.02, default_grid(model), RngStream(21, 0))
+    return simulate_sde(model, THETA0, 0.02, TimeGrid(0.0, model.horizon, DEFAULT_NUM_STEPS), RngStream(21, 0))
 
 
 def constant_sensitivity_model(c: float = 2.0, sigma: float = 1.0) -> SmallNoiseModel:
@@ -67,7 +66,7 @@ def constant_sensitivity_model(c: float = 2.0, sigma: float = 1.0) -> SmallNoise
 
 class TestSimulate:
     def test_noise_free_limit_matches_flow(self, model):
-        grid = default_grid(model)
+        grid = TimeGrid(0.0, model.horizon, DEFAULT_NUM_STEPS)
         traj0 = simulate_sde(model, THETA0, 0.0, grid, RngStream(1, 0))
         assert traj0.values[-1] == pytest.approx(math.exp(0.5), abs=1e-3)
 
@@ -215,14 +214,14 @@ class TestMle:
 
 class TestMde:
     def test_window_default_floor(self, model):
-        grid = default_grid(model)
+        grid = TimeGrid(0.0, model.horizon, DEFAULT_NUM_STEPS)
         t = simulate_sde(model, THETA0, 0.02, grid, RngStream(9, 0))
         nu = default_mde_window(t)
         assert nu >= 50 * grid.h
         assert nu >= 0.05 * model.horizon
 
     def test_recovers_noise_free_path(self, model):
-        grid = default_grid(model)
+        grid = TimeGrid(0.0, model.horizon, DEFAULT_NUM_STEPS)
         t0 = simulate_sde(model, THETA0, 0.0, grid, RngStream(10, 0))
         assert abs(mde_preliminary(model, t0) - THETA0) < 1e-3
 
@@ -251,7 +250,7 @@ class TestMde:
     def test_distance_strictly_monotone_next_to_each_end(self, model):
         # The fit to a flow at theta = 0.5 must still tell thetas apart within
         # 0.005 of either end, inside the outermost cells of the flow table.
-        grid = default_grid(model)
+        grid = TimeGrid(0.0, model.horizon, DEFAULT_NUM_STEPS)
         flow = simulate_sde(model, THETA0, 0.0, grid, RngStream(10, 0))
         neg_distance = _mde_neg_distance(model, flow, None)
         dom = model.theta_domain
@@ -281,7 +280,7 @@ class TestScorePathSplit:
     def test_noise_free_path_gives_zero_score(self, model):
         # Both increment terms cancel on a noise-free Euler path; what is
         # left is the rounding of x + h*S, at the 1e-16-per-step scale.
-        grid = default_grid(model)
+        grid = TimeGrid(0.0, model.horizon, DEFAULT_NUM_STEPS)
         flow = simulate_sde(model, THETA0, 0.0, grid, RngStream(15, 0))
         t = Trajectory(grid, flow.values, 1.0)
         sp = score_path_split(model, t, THETA0, THETA0)
@@ -295,7 +294,7 @@ class TestScorePathSplit:
         assert np.all(np.diff(sp.time_change) >= 0.0)
 
     def test_zero_noise_level_rejected(self, model):
-        grid = default_grid(model)
+        grid = TimeGrid(0.0, model.horizon, DEFAULT_NUM_STEPS)
         flow = simulate_sde(model, THETA0, 0.0, grid, RngStream(16, 0))
         with pytest.raises(ConfigError):
             score_path_split(model, flow, THETA0, THETA0)
@@ -332,24 +331,24 @@ def test_weight_factors_equal_the_drift_weight(build):
 
 class TestScorePathIto:
     def test_agrees_with_direct_integral_linear(self, model):
-        grid = default_grid(model)
+        grid = TimeGrid(0.0, model.horizon, DEFAULT_NUM_STEPS)
         t = simulate_sde(model, THETA0, 0.05, grid, RngStream(17, 0))
         theta_hat = mle_small_noise(model, t)
         ito = score_path_ito(model, t, theta_hat)
-        direct = score_path_direct(model, t, theta_hat)
+        direct = score_path_split(model, t, theta_hat, theta_hat, nu_epsilon=0.0)
         assert np.max(np.abs(ito.values - direct.values)) <= 0.05
 
     def test_agrees_with_direct_integral_time_varying(self):
         tv = time_varying_model()
-        grid = default_grid(tv)
+        grid = TimeGrid(0.0, tv.horizon, DEFAULT_NUM_STEPS)
         t = simulate_sde(tv, THETA0, 0.05, grid, RngStream(18, 0))
         theta_hat = mle_small_noise(tv, t)
         ito = score_path_ito(tv, t, theta_hat)
-        direct = score_path_direct(tv, t, theta_hat)
+        direct = score_path_split(tv, t, theta_hat, theta_hat, nu_epsilon=0.0)
         assert np.max(np.abs(ito.values - direct.values)) <= 0.05
 
     def test_noise_free_bracket_vanishes(self, model):
-        grid = default_grid(model)
+        grid = TimeGrid(0.0, model.horizon, DEFAULT_NUM_STEPS)
         flow = simulate_sde(model, THETA0, 0.0, grid, RngStream(19, 0))
         t = Trajectory(grid, flow.values, 1.0)
         ito = score_path_ito(model, t, THETA0)
@@ -403,12 +402,11 @@ class TestDeltaStat:
         times = np.linspace(0.0, 2.0, 501)
         tau = (times / 2.0) ** 2
         tau /= tau[-1]
-        values = np.interp(tau, bridge.taus, bridge.values)
+        values = np.interp(tau, bridge.times, bridge.values)
         sp = ScorePath(times, values, tau)
-        from sfgof.limit_laws import bridge_functional
 
-        assert delta_stat(sp, "cvm") == pytest.approx(bridge_functional(bridge, "cvm"), abs=5e-3)
-        assert delta_stat(sp, "ks") <= bridge_functional(bridge, "ks") + 1e-12
+        assert delta_stat(sp, "cvm") == pytest.approx(delta_stat(bridge, "cvm"), abs=5e-3)
+        assert delta_stat(sp, "ks") <= delta_stat(bridge, "ks") + 1e-12
 
 
 class TestRunTest:
