@@ -19,7 +19,7 @@ def main() -> int:
     parser.add_argument("--paths", type=int, default=200_000)
     args = parser.parse_args()
 
-    print("alpha,cvm_exact,cvm_mc,cvm_mc_err,cvm_series,cvm_series_err,ks_series")
+    print("alpha,cvm_exact,cvm_mc,cvm_mc_err,cvm_series,cvm_series_err,ks_exact")
     for alpha in args.alphas:
         mc = critical_value_cvm(alpha, method="monte-carlo", rng=RngStream(args.seed, 1), n_paths=args.paths)
         series = critical_value_cvm(alpha, method="series", rng=RngStream(args.seed, 2), n_paths=args.paths)

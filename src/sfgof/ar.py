@@ -27,6 +27,7 @@ from .inference_kit import (
 )
 from .score import ScorePath, TestOutcome, decide
 
+APPROACHES = ("split",)  # the score constructions run_test_ar runs
 _X_NODES = 2049
 _TAIL_MASS = 1e-8
 _MAX_EXTENSIONS = 10
@@ -98,7 +99,7 @@ def _fixed_point_density(model: ARModel, theta: float, lo: float, hi: float, n_n
     f /= max(f.sum() * dx, 1e-300)
     for _ in range(_FIXED_POINT_MAX_ITER):
         # einsum, not a BLAS gemv, so that the density (and mle_ar through it)
-        # does not depend on the BLAS thread count.
+        # does not depend on how many threads BLAS runs.
         f_new = np.einsum("ij,j->i", kernel, f) * dx
         total = f_new.sum() * dx
         if not np.isfinite(total) or total <= 0.0:
@@ -276,7 +277,7 @@ def run_test_ar(
     model: ARModel, sample: SeriesSample, alpha: float, approach: str = "split", kind: str = "cvm"
 ) -> TestOutcome:
     """Fit the regression family, build the step score path, and test."""
-    if approach != "split":
+    if approach not in APPROACHES:
         raise ConfigError(f"unknown autoregression approach {approach!r}")
     theta_hat = mle_ar(model, sample)
     return decide(score_path_ar(model, sample, theta_hat), alpha, kind, approach, theta_hat)

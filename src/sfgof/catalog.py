@@ -158,11 +158,11 @@ class Family:
     sample(drawn, j) is replicate j of that draw, or raises NumericalError or
     ModelError for a replicate that must be excluded.  test(model, sample,
     alpha, approach, kind, sim) runs the family's run_test, where approach is
-    one of the score constructions in approaches.  sim holds the simulation
-    and construction settings (num_steps, step, d_T, N).  A family that reads
-    recorded data names the ``sfgof test`` option for its file in data_flag,
-    and load(model, knob, path) returns the sample, whose length n is then
-    the knob.
+    one of the score constructions in approaches, the family module's
+    APPROACHES.  sim holds the simulation and construction settings
+    (num_steps, step, d_T, N).  A family that reads recorded data names the
+    ``sfgof test`` option for its file in data_flag, and load(model, knob,
+    path) returns the sample, whose length n is then the knob.
     """
 
     knob: str
@@ -173,7 +173,7 @@ class Family:
     draw: Callable
     sample: Callable
     test: Callable
-    approaches: tuple[str, ...] = ("split",)
+    approaches: tuple[str, ...]
     load: Callable | None = None
     data_flag: str | None = None
 
@@ -214,7 +214,7 @@ FAMILIES: dict[str, Family] = {
         test=lambda model, sample, alpha, approach, kind, sim: small_noise.run_test_small_noise(
             model, sample, alpha, approach=approach, kind=kind
         ),
-        approaches=("split", "ito"),
+        approaches=small_noise.APPROACHES,
     ),
     "ergodic": Family(
         knob="T",
@@ -227,7 +227,7 @@ FAMILIES: dict[str, Family] = {
         test=lambda model, sample, alpha, approach, kind, sim: ergodic.run_test_ergodic(
             model, sample, alpha, approach=approach, kind=kind, d_T=sim.get("d_T")
         ),
-        approaches=("split", "smoothed"),
+        approaches=ergodic.APPROACHES,
     ),
     "poisson": Family(
         knob="n",
@@ -240,6 +240,7 @@ FAMILIES: dict[str, Family] = {
         test=lambda model, sample, alpha, approach, kind, sim: poisson.run_test_poisson(
             model, sample, alpha, approach=approach, kind=kind, N=sim.get("N")
         ),
+        approaches=poisson.APPROACHES,
         load=_load_events,
         data_flag="events",
     ),
@@ -254,6 +255,7 @@ FAMILIES: dict[str, Family] = {
         test=lambda model, sample, alpha, approach, kind, sim: ar.run_test_ar(
             model, sample, alpha, approach=approach, kind=kind
         ),
+        approaches=ar.APPROACHES,
         load=lambda model, n, path: ar.SeriesSample(values=np.asarray(load_rows(path, ndmin=1), dtype=float)),
         data_flag="data",
     ),

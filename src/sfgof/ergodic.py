@@ -35,6 +35,7 @@ from .inference_kit import (
 from .score import ScorePath, TestOutcome, decide, time_change
 from .small_noise import Trajectory
 
+APPROACHES = ("split", "smoothed")  # the score constructions run_test_ergodic runs
 _X_NODES = 2049
 _TAIL_MASS = 1e-8
 _MAX_EXTENSIONS = 12
@@ -398,15 +399,15 @@ def run_test_ergodic(
     d_T: float | None = None,
 ) -> TestOutcome:
     """Estimate, build the state-indexed score path, and test at level alpha."""
+    if approach not in APPROACHES:
+        raise ConfigError(f"unknown ergodic approach {approach!r}")
     theta_hat = mle_ergodic(model, traj)
     theta_bar: float | None = None
     if approach == "split":
         theta_bar = preliminary_moments(model, traj)
         path = score_path_x_split(model, traj, theta_bar, theta_hat)
-    elif approach == "smoothed":
-        path = score_path_x_smoothed(model, traj, theta_hat, d_T=d_T)
     else:
-        raise ConfigError(f"unknown ergodic approach {approach!r}")
+        path = score_path_x_smoothed(model, traj, theta_hat, d_T=d_T)
     return decide(path, alpha, kind, approach, theta_hat, theta_bar)
 
 

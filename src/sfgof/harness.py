@@ -4,24 +4,21 @@ Replicates are indexed by a counter-based substream of the master seed, so
 reports are bit-identical for a given (config, master_seed) regardless of
 chunking or worker count.  A study with ``threads=K > 1`` runs its blocks
 in up to K worker processes started by fork, so they inherit the prepared
-models, lambdas included; each worker runs BLAS on one thread, so that the
-workers do not fight BLAS's own threads for the cores.  Where fork is not
-available the blocks run serially.  Replicates that blow up numerically are
-excluded and counted; a run with more than 1% exclusions is flagged as
-failed.  Every family runs the same block function: it draws the block's
-replicates and tests each with the family's own run_test, through the
-`catalog.Family` record that ``sfgof test`` uses too.
+models, lambdas included.  Where fork is not available the blocks run
+serially.  Replicates that blow up numerically are excluded and counted; a
+run with more than 1% exclusions is flagged as failed.  Every family runs
+the same block function: it draws the block's replicates and tests each
+with the family's own run_test, through the `catalog.Family` record that
+``sfgof test`` uses too.
 """
 
 from __future__ import annotations
 
-import ctypes
 import dataclasses
 import json
 import math
 import time
 from dataclasses import dataclass, field
-from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -32,12 +29,6 @@ from .inference_kit import RngStream, two_sample_ks
 
 _EXCLUSION_CEILING = 0.01
 _REPORT_QUANTILES = (0.5, 0.9, 0.95, 0.99)
-_BLAS_THREAD_SETTERS = (
-    "scipy_openblas_set_num_threads64_",
-    "scipy_openblas_set_num_threads",
-    "openblas_set_num_threads64_",
-    "openblas_set_num_threads",
-)
 
 
 @dataclass(frozen=True)
@@ -229,37 +220,13 @@ def _prepare(config: ExperimentConfig):
     return block_fn
 
 
-@cache
-def _blas_thread_setter():
-    """The thread-count setter of the OpenBLAS that numpy loaded, or None if there is none."""
-    try:
-        maps = Path("/proc/self/maps").read_text()
-    except OSError:
-        return None
-    libraries = {fields[5] for fields in (line.split(None, 5) for line in maps.splitlines()) if len(fields) == 6}
-    for library in sorted(lib for lib in libraries if "openblas" in lib.lower()):
-        try:
-            handle = ctypes.CDLL(library)
-        except OSError:
-            continue
-        for name in _BLAS_THREAD_SETTERS:
-            setter = getattr(handle, name, None)
-            if setter is not None:
-                setter.argtypes = [ctypes.c_int]
-                setter.restype = None
-                return setter
-    return None
-
-
 # Set in each worker process by _init_worker; the parent never sets it.
 _worker_block_fn = None
 
 
-def _init_worker(block_fn, blas_thread_setter) -> None:
+def _init_worker(block_fn) -> None:
     global _worker_block_fn
     _worker_block_fn = block_fn
-    if blas_thread_setter is not None:
-        blas_thread_setter(1)
 
 
 def _run_block(bounds: tuple[int, int]) -> ReplicateBlock:
@@ -272,6 +239,9 @@ def _run_blocks(block_fn, blocks: list, threads: int) -> tuple[list, str]:
     With threads > 1 and fork available, the blocks run in at most
     min(threads, len(blocks)) forked worker processes, which inherit
     block_fn instead of pickling it.  Otherwise they run in this process.
+    Nothing else is set up in the workers: no replicate makes a BLAS call,
+    so they start no threads for it, and a plug-in that does call BLAS runs
+    there on as many threads as BLAS is set to use in this process.
     """
     workers = min(threads, len(blocks))
     if workers > 1:
@@ -279,16 +249,14 @@ def _run_blocks(block_fn, blocks: list, threads: int) -> tuple[list, str]:
         from concurrent.futures import ProcessPoolExecutor
 
         if "fork" in multiprocessing.get_all_start_methods():
-            setter = _blas_thread_setter()
             with ProcessPoolExecutor(
                 max_workers=workers,
                 mp_context=multiprocessing.get_context("fork"),
                 initializer=_init_worker,
-                initargs=(block_fn, setter),
+                initargs=(block_fn,),
             ) as pool:
                 results = list(pool.map(_run_block, blocks))
-            blas = "1 BLAS thread each" if setter is not None else "BLAS threads unchanged"
-            return results, f"{workers} (fork, {blas})"
+            return results, f"{workers} (fork)"
     return [block_fn(start, stop) for start, stop in blocks], "1 (serial)"
 
 

@@ -35,10 +35,6 @@ class ParamInterval:
         if not self.lower < self.upper:
             raise ConfigError(f"parameter interval needs lower < upper, got ({self.lower}, {self.upper})")
 
-    @property
-    def width(self) -> float:
-        return self.upper - self.lower
-
     def clip(self, theta: float) -> float:
         return float(min(max(theta, self.lower), self.upper))
 

@@ -27,6 +27,7 @@ from .inference_kit import (
 )
 from .score import ScorePath, TestOutcome, decide, time_change
 
+APPROACHES = ("split",)  # the score constructions run_test_poisson runs
 _T_GRID_NODES = 4097
 _RATE_SCAN_NODES = 2048
 _COMPENSATOR_PANELS = 256  # Simpson panels of the likelihood's compensator integral
@@ -287,7 +288,7 @@ def run_test_poisson(
     The preliminary estimate is the minimum-distance projection for the
     linear family and a first-N-periods likelihood fit otherwise.
     """
-    if approach != "split":
+    if approach not in APPROACHES:
         raise ConfigError(f"unknown poisson approach {approach!r}")
     N = _head_size(events, N)
     theta_hat = mle_poisson(model, events)

@@ -32,6 +32,7 @@ from .inference_kit import (
 )
 from .score import ScorePath, TestOutcome, decide, time_change
 
+APPROACHES = ("split", "ito")  # the score constructions run_test_small_noise runs
 DEFAULT_NUM_STEPS = 10_000
 _THETA_TABLE_NODES = 129
 _X_GRID_NODES = 2049
@@ -153,12 +154,6 @@ def _flow_information(model: SmallNoiseModel, theta: float, grid: TimeGrid, xs: 
     if not np.isfinite(info) or info <= 0.0:
         raise ModelError(f"information integral must be positive, got {info!r} at theta={theta}")
     return info
-
-
-def fisher_small_noise(model: SmallNoiseModel, theta: float, num_steps: int = 1024) -> float:
-    """Information integral of the drift sensitivity along the noise-free flow."""
-    grid = TimeGrid(0.0, model.horizon, num_steps)
-    return _flow_information(model, theta, grid, drift_flow(model, theta, grid))
 
 
 # Per-model interpolation tables for quantities that are smooth in theta.
@@ -400,15 +395,15 @@ def run_test_small_noise(
     kind: str = "cvm",
 ) -> TestOutcome:
     """Estimate, build the score path, and test at level alpha."""
+    if approach not in APPROACHES:
+        raise ConfigError(f"unknown small-noise approach {approach!r}")
     theta_hat = mle_small_noise(model, traj)
     theta_bar: float | None = None
     if approach == "split":
         theta_bar = mde_preliminary(model, traj)
         path = score_path_split(model, traj, theta_bar, theta_hat)
-    elif approach == "ito":
-        path = score_path_ito(model, traj, theta_hat)
     else:
-        raise ConfigError(f"unknown small-noise approach {approach!r}")
+        path = score_path_ito(model, traj, theta_hat)
     return decide(path, alpha, kind, approach, theta_hat, theta_bar)
 
 

@@ -1,11 +1,12 @@
 """Independent references and one-sample wrappers that only the tests use.
 
-The library simulates and tests in batches; these helpers draw one sample
-from a single stream, or recompute a quantity by a route the library does
-not take (an information integral straight from the invariant or
-stationary density, a mean measure by cumulative Simpson, an occupation
-distance, a Monte Carlo sup sampler), so that tests can check the library
-against them.
+The library simulates and tests in batches and tabulates the small-noise
+information over theta; these helpers draw one sample from a single
+stream, solve the small-noise information at one theta, or recompute a
+quantity by a route the library does not take (an information integral
+straight from the invariant or stationary density, a mean measure by
+cumulative Simpson, an occupation distance, a Monte Carlo sup sampler), so
+that tests can check the library against them.
 """
 
 import numpy as np
@@ -18,7 +19,14 @@ from sfgof.inference_kit import GridDensity, RngStream, TimeGrid, cumulative_sim
 from sfgof.limit_laws import _bridge_values_batch
 from sfgof.poisson import _T_GRID_NODES, PoissonModel
 from sfgof.score import ScorePath
-from sfgof.small_noise import SmallNoiseModel, Trajectory, simulate_sde_batch, trajectory_at
+from sfgof.small_noise import (
+    SmallNoiseModel,
+    Trajectory,
+    _flow_information,
+    drift_flow,
+    simulate_sde_batch,
+    trajectory_at,
+)
 
 
 def simulate_sde(
@@ -87,6 +95,12 @@ def bridge_sup_samples(
         out[done : done + take] = sup
         done += take
     return out
+
+
+def fisher_small_noise(model: SmallNoiseModel, theta: float, num_steps: int = 1024) -> float:
+    """Information integral of the drift sensitivity along the noise-free flow."""
+    grid = TimeGrid(0.0, model.horizon, num_steps)
+    return _flow_information(model, theta, grid, drift_flow(model, theta, grid))
 
 
 def fisher_ergodic(model: ErgodicModel, theta: float) -> float:

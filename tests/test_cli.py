@@ -243,6 +243,14 @@ class TestExperiments:
         assert main(["power", "--config", cfg, "--seed", "6"]) == 2
         assert "alternative" in capsys.readouterr().err
 
+    def test_size_rejects_alternative(self, tmp_path, capsys):
+        self._size_config(tmp_path)
+        cfg = json.loads((tmp_path / "size.json").read_text())
+        cfg["alternative"] = "sin-perturbed"
+        assert main(["size", "--config", write_config(tmp_path, "power.json", cfg), "--seed", "6"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and "alternative" in captured.err and captured.out == ""
+
     def test_size_stdout_when_no_out(self, tmp_path, capsys):
         cfg = self._size_config(tmp_path)
         assert main(["size", "--config", cfg, "--seed", "6"]) == 0

@@ -1,11 +1,12 @@
 import dataclasses
 import multiprocessing
+import os
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from sfgof import ar, catalog, ergodic, small_noise
+from sfgof import ar, catalog, ergodic, harness, small_noise
 from sfgof.errors import ConfigError
 from sfgof.harness import (
     ExperimentConfig,
@@ -73,6 +74,22 @@ def _oracle_test(model, stream, alpha, approach, kind, sim):
     return SimpleNamespace(statistic=statistic, theta_hat=np.nan, theta_bar=None)
 
 
+def _status_threads() -> int:
+    """The Threads: count that /proc/self/status gives for this process."""
+    with open("/proc/self/status") as status:
+        return next(int(line.split()[1]) for line in status if line.startswith("Threads:"))
+
+
+_harness_run_block = harness._run_block
+
+
+def _run_block_reporting_threads(bounds):
+    """harness._run_block, plus the pid and thread count of the process that ran the block."""
+    block = _harness_run_block(bounds)
+    block.worker = (os.getpid(), _status_threads())
+    return block
+
+
 @pytest.fixture
 def oracle_family(monkeypatch):
     """Registers family "oracle", whose replicate statistic is the limit statistic itself, one path each.
@@ -88,6 +105,7 @@ def oracle_family(monkeypatch):
         draw=lambda model, alt, theta0, knob, sim, streams: streams,
         sample=lambda streams, j: streams[j],
         test=_oracle_test,
+        approaches=("split",),
     )
     monkeypatch.setitem(catalog.FAMILIES, "oracle", oracle)
 
@@ -170,20 +188,52 @@ class TestDeterminism:
         x, y = np.random.default_rng(3).standard_normal((2, 100_000))
         dot_before = np.dot(x, y)
         # The ergodic paths have 2e4 points.  A BLAS dot product over them
-        # would run on several threads at threads=1 and on one in each worker
-        # at threads=2, and round differently; the optimizer's parabolic steps
-        # would carry that into theta_hat.  So the likelihood sums use einsum.
+        # would round in an order that depends on the host's BLAS build and
+        # thread count, and the optimizer's parabolic steps would carry that
+        # into theta_hat.  So the likelihood sums use einsum.
         for config in (quick_config(), ergodic_config(knob_value=200.0)):
             r1 = run_size(dataclasses.replace(config, threads=1))
             r2 = run_size(dataclasses.replace(config, threads=2))
             assert r1.workers == "1 (serial)"
             if "fork" in multiprocessing.get_all_start_methods():
-                assert r2.workers.startswith("2 (fork")
+                assert r2.workers == "2 (fork)"
             assert r1.csv_text() == r2.csv_text()
             assert np.array_equal(r1.statistics, r2.statistics)
             assert np.array_equal(r1.theta_hat, r2.theta_hat)
             assert np.array_equal(r1.theta_bar, r2.theta_bar)
         assert np.dot(x, y) == dot_before
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods() or not os.path.exists("/proc/self/status"),
+        reason="needs fork and /proc/self/status",
+    )
+    def test_workers_start_no_threads(self, monkeypatch):
+        # No replicate makes a BLAS call, so a forked worker keeps the one
+        # thread that fork gives it, whatever threads this process runs.
+        monkeypatch.setattr(harness, "_run_block", _run_block_reporting_threads)
+        returned = []
+        run_blocks = harness._run_blocks
+
+        def recording_run_blocks(block_fn, blocks, threads):
+            results, workers = run_blocks(block_fn, blocks, threads)
+            returned.extend(results)
+            return results, workers
+
+        monkeypatch.setattr(harness, "_run_blocks", recording_run_blocks)
+        by_n = dict(knob="n", replicates=100, sim_params={}, chunk_size=50)
+        configs = (
+            quick_config(),
+            ergodic_config(),
+            quick_config(family="poisson", knob_value=60, model_params={"name": "linear-h", "theta0": 2.0}, **by_n),
+            quick_config(family="ar", knob_value=200, model_params={"name": "linear-gaussian", "theta0": 0.5}, **by_n),
+        )
+        for config in configs:
+            returned.clear()
+            report = run_size(dataclasses.replace(config, threads=2))
+            assert report.workers == "2 (fork)"
+            pids = {block.worker[0] for block in returned}
+            assert len(returned) >= 2 and os.getpid() not in pids
+            assert [block.worker[1] for block in returned] == [1] * len(returned), config.family
 
     def test_chunk_size_does_not_change_output(self):
         r1 = run_size(quick_config(chunk_size=40))

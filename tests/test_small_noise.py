@@ -13,7 +13,6 @@ from sfgof.small_noise import (
     Trajectory,
     default_mde_window,
     drift_flow,
-    fisher_small_noise,
     gated_linear_model,
     linear_model,
     mde_preliminary,
@@ -32,7 +31,7 @@ from sfgof.small_noise import (
     _window_table,
 )
 
-from reference import simulate_bridge, simulate_sde
+from reference import fisher_small_noise, simulate_bridge, simulate_sde
 
 THETA0 = 0.5
 
